@@ -91,8 +91,8 @@ func BenchmarkObsStalls(b *testing.B) { runExperiment(b, "obs-stalls") }
 // is served from a persistent store populated before the timer starts,
 // and each iteration uses a fresh Lab (empty in-process memo) — so the
 // number is store-read + render cost, the latency a re-run of a cached
-// experiment actually pays. The bench gate's campaign/warm entry keeps
-// this path from regressing.
+// experiment actually pays. The bench/ warm-campaign workload times
+// the same path end to end.
 func BenchmarkCampaignWarm(b *testing.B) {
 	e, ok := exp.ByID("fig10")
 	if !ok {

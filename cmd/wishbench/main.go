@@ -44,19 +44,11 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier (1.0 = reduced-input default)")
 		statsOut = flag.String("stats-out", "", "write every campaign run's stats snapshot as a JSON array to this file")
-
-		benchOut  = flag.String("bench-out", "", "run the host-throughput suite and write BENCH_*.json here (skips the campaign)")
-		benchBase = flag.String("bench-baseline", "", "run the host-throughput suite and gate it against this baseline file (skips the campaign)")
-		benchTol  = flag.Float64("bench-tolerance", 0.15, "allowed relative µops/sec regression for -bench-baseline")
 	)
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	rf := cliflags.RegisterRemote(flag.CommandLine)
 	pf := cliflags.RegisterProfile(flag.CommandLine)
 	flag.Parse()
-
-	if *benchOut != "" || *benchBase != "" {
-		os.Exit(runBenchMode(*benchOut, *benchBase, *benchTol))
-	}
 
 	stopProfiles, err := pf.Start("wishbench")
 	if err != nil {

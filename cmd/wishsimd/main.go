@@ -28,7 +28,6 @@
 // points at either without knowing which it got:
 //
 //	wishsimd -coordinator -worker http://h1:8081,http://h2:8081,http://h3:8081
-//	wishsimd -coordinator -worker ... -hedge-after 2s    # straggler hedging
 //	wishsimd -coordinator -worker ... -probe-interval 1s # membership probes
 //
 // The coordinator consistent-hashes each request's cache key onto the
@@ -88,7 +87,6 @@ func run() int {
 
 		coordinator   = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
 		workerList    = flag.String("worker", "", "comma-separated worker base URLs (coordinator mode; repeatable via commas)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge a shard to its ring successor after this wait (coordinator mode; 0 = off)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker /healthz probe cadence (coordinator mode)")
 		replicas      = flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per worker on the hash ring (coordinator mode)")
 	)
@@ -99,7 +97,6 @@ func run() int {
 		return runCoordinator(coordinatorConfig{
 			addr:          *addr,
 			workers:       *workerList,
-			hedgeAfter:    *hedgeAfter,
 			probeInterval: *probeInterval,
 			replicas:      *replicas,
 			maxTimeout:    *maxTimeout,
@@ -221,7 +218,6 @@ func run() int {
 type coordinatorConfig struct {
 	addr          string
 	workers       string
-	hedgeAfter    time.Duration
 	probeInterval time.Duration
 	replicas      int
 	maxTimeout    time.Duration
@@ -250,7 +246,6 @@ func runCoordinator(cfg coordinatorConfig) int {
 	reg.Replicas = cfg.replicas
 	co := &cluster.Coordinator{
 		Registry:   reg,
-		HedgeAfter: cfg.hedgeAfter,
 		MaxTimeout: cfg.maxTimeout,
 	}
 	if cfg.verbose {
@@ -285,8 +280,8 @@ func runCoordinator(cfg coordinatorConfig) int {
 			errCh <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "wishsimd: coordinating %d workers on %s (hedge %v, probe every %v)\n",
-		len(urls), cfg.addr, cfg.hedgeAfter, cfg.probeInterval)
+	fmt.Fprintf(os.Stderr, "wishsimd: coordinating %d workers on %s (probe every %v)\n",
+		len(urls), cfg.addr, cfg.probeInterval)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -178,12 +178,12 @@ type ClusterHealth struct {
 type WorkerStatus struct {
 	URL   string `json:"url"`
 	Alive bool   `json:"alive"`
-	// Requests counts attempts routed to this worker (hedges included).
+	// Requests counts attempts routed to this worker.
 	Requests uint64 `json:"requests"`
 	// Errors counts attempts that failed (transport or non-2xx).
 	Errors uint64 `json:"errors"`
-	// Hedges counts hedge attempts launched against this worker as
-	// the successor of a straggling home node.
+	// Hedges always reads 0: the coordinator no longer hedges. The field
+	// is kept because wire version 1 may only grow.
 	Hedges uint64 `json:"hedges"`
 }
 
@@ -201,7 +201,9 @@ type ClusterMetrics struct {
 	TotalWorkers int    `json:"total_workers"`
 
 	// Routing counters: Reroutes counts shard dispatch retries (after
-	// a failure or a busy worker), Hedges counts hedge launches.
+	// a failure or a busy worker). Hedges always reads 0: the
+	// coordinator no longer hedges, and the field is kept because wire
+	// version 1 may only grow.
 	Reroutes uint64 `json:"reroutes"`
 	Hedges   uint64 `json:"hedges"`
 	// CheckpointHits counts request items answered from the merge

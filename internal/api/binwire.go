@@ -227,12 +227,11 @@ func AppendStreamEndFrame(dst []byte, count int) []byte {
 }
 
 // ReadCampaignStream consumes a campaign stream of exactly n items,
-// invoking onItem (when non-nil) as each frame arrives and returning
-// the items in request order. Every malformed condition — unknown tag,
+// returning them in request order. Every malformed condition — unknown tag,
 // out-of-range or duplicate index, a body that fails to parse, a
 // terminal count that disagrees, EOF before the terminal frame — wraps
 // ErrBinWire: the response is unusable and the caller retries.
-func ReadCampaignStream(r io.Reader, n int, onItem func(i int, item CampaignItem)) ([]CampaignItem, error) {
+func ReadCampaignStream(r io.Reader, n int) ([]CampaignItem, error) {
 	items := make([]CampaignItem, n)
 	seen := make([]bool, n)
 	got := 0
@@ -275,9 +274,6 @@ func ReadCampaignStream(r io.Reader, n int, onItem func(i int, item CampaignItem
 			items[arg] = item
 			seen[arg] = true
 			got++
-			if onItem != nil {
-				onItem(arg, item)
-			}
 		default:
 			return nil, fmt.Errorf("%w: unknown stream frame tag %#x", ErrBinWire, tag)
 		}

@@ -95,8 +95,7 @@ func TestBinaryCampaignItemCorruption(t *testing.T) {
 }
 
 // TestCampaignStreamReassemblesRequestOrder: frames written in any
-// completion order come back in request order, and onItem sees the
-// completion order.
+// completion order come back in request order.
 func TestCampaignStreamReassemblesRequestOrder(t *testing.T) {
 	const n = 5
 	items := make([]CampaignItem, n)
@@ -112,13 +111,7 @@ func TestCampaignStreamReassemblesRequestOrder(t *testing.T) {
 	}
 	wire = AppendStreamEndFrame(wire, n)
 
-	var sawOrder []int
-	got, err := ReadCampaignStream(bytes.NewReader(wire), n, func(i int, item CampaignItem) {
-		sawOrder = append(sawOrder, i)
-		if item.Key != items[i].Key {
-			t.Errorf("onItem(%d): key %q, want %q", i, item.Key, items[i].Key)
-		}
-	})
+	got, err := ReadCampaignStream(bytes.NewReader(wire), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +119,6 @@ func TestCampaignStreamReassemblesRequestOrder(t *testing.T) {
 	gotJSON, _ := json.Marshal(got)
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Errorf("merged stream differs from request order:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-	if fmt.Sprint(sawOrder) != fmt.Sprint(completion) {
-		t.Errorf("onItem order %v, want completion order %v", sawOrder, completion)
 	}
 }
 
@@ -152,7 +142,7 @@ func TestCampaignStreamMalformed(t *testing.T) {
 		"garbled item body":  join([]byte{StreamItemTag, 0, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3}, end(1)),
 	}
 	for name, wire := range cases {
-		if _, err := ReadCampaignStream(bytes.NewReader(wire), 1, nil); !errors.Is(err, ErrBinWire) {
+		if _, err := ReadCampaignStream(bytes.NewReader(wire), 1); !errors.Is(err, ErrBinWire) {
 			t.Errorf("%s: err = %v, want ErrBinWire", name, err)
 		}
 	}

@@ -175,7 +175,7 @@ func TestV1CorpusDecodes(t *testing.T) {
 	})
 
 	t.Run("campaign_stream.bin", func(t *testing.T) {
-		items, err := ReadCampaignStream(bytes.NewReader(readFixture(t, "campaign_stream.bin")), len(exp.StreamKeys), nil)
+		items, err := ReadCampaignStream(bytes.NewReader(readFixture(t, "campaign_stream.bin")), len(exp.StreamKeys))
 		if err != nil {
 			t.Fatal(err)
 		}

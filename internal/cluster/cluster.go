@@ -23,11 +23,6 @@
 //     backoff against a freshly-resolved ring, landing on the next
 //     live node clockwise. Periodic /healthz probes resurrect workers
 //     that heal (and demote ones that die quietly or start draining).
-//   - Hedging: optionally, a shard with no answer after HedgeAfter is
-//     hedged to its ring successor; the first response wins and the
-//     loser is cancelled through the context plumbing, so a straggling
-//     worker costs latency, never correctness — and the hedge target
-//     is exactly the node the shard would fail over to.
 //   - Backpressure: a shard whose every route answers 429 is reported
 //     as 429 with the maximum Retry-After across shards — the cluster
 //     propagates honest backpressure instead of absorbing it into an
@@ -81,15 +76,12 @@ type Coordinator struct {
 	// to MaxBackoff (zero values = 50ms / 2s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// HedgeAfter, when positive, hedges a shard to its ring successor
-	// if the home worker has not answered within this duration.
-	HedgeAfter time.Duration
 	// MaxTimeout caps the per-request deadline a client may ask for
 	// and is the default when a request carries none (<= 0 means
 	// serve.DefaultMaxTimeout).
 	MaxTimeout time.Duration
-	// Log, when non-nil, receives one line per reroute, hedge, and
-	// rejection.
+	// Log, when non-nil, receives one line per rejection and per
+	// checkpoint write failure.
 	Log io.Writer
 	// Journal, when non-nil, checkpoints merge progress: every result
 	// merged from a worker is journaled (fsync'd) before the response
@@ -104,7 +96,6 @@ type Coordinator struct {
 	started  time.Time
 	draining atomic.Bool
 	inflight sync.WaitGroup
-	hedges   atomic.Uint64
 	reroutes atomic.Uint64
 	ckptHits atomic.Uint64
 
@@ -238,7 +229,7 @@ func (co *Coordinator) timeout(ms int64) time.Duration {
 
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	co.count("run")
-	var req serve.RunRequest
+	var req api.RunRequest
 	if !co.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -260,11 +251,11 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		co.rejectErr(w, err)
 		return
 	}
-	co.writeJSON(w, http.StatusOK, serve.RunResponse{Key: req.Spec.Key(), Result: res})
+	co.writeJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
 }
 
 // Run executes one spec through the cluster: checkpoint first, then
-// routed to the spec's home worker with the usual retry/hedge ladder.
+// routed to the spec's home worker with the usual retry ladder.
 // Together with Campaign it makes the coordinator the third api.Runner
 // execution path (next to api.LabRunner and serve.Client), so a driver
 // embedding a coordinator in-process needs no HTTP hop. Drain
@@ -277,7 +268,7 @@ func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, err
 		co.ckptHits.Add(1)
 		return res, nil
 	}
-	v, err := co.route(ctx, k.Key, func(ctx context.Context, wk *Worker, _ func()) (any, error) {
+	v, err := co.route(ctx, k.Key, func(ctx context.Context, wk *Worker) (any, error) {
 		res, rerr := wk.Client.Run(ctx, spec)
 		if rerr != nil {
 			return nil, rerr
@@ -294,7 +285,7 @@ func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, err
 
 func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	co.count("campaign")
-	var req serve.CampaignRequest
+	var req api.CampaignRequest
 	if !co.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -322,12 +313,12 @@ func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		co.rejectErr(w, err)
 		return
 	}
-	co.writeJSON(w, http.StatusOK, serve.CampaignResponse{Items: items})
+	co.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 }
 
 // Campaign splits the batch into per-worker shards by each spec's home
 // on the ring, dispatches the shards concurrently (each with its own
-// retry/hedge ladder), and merges the answers back into request order.
+// retry ladder), and merges the answers back into request order.
 // The merge is positional — shard results carry their original
 // indices — so the response is byte-identical to a single worker's
 // regardless of sharding, membership changes, or failover history.
@@ -400,12 +391,9 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 			}
 			// The shard goes out as a streaming campaign: the worker's
 			// items arrive (and merge client-side into shard order) as
-			// each simulation finishes instead of after the whole
-			// shard, and the first item claims the hedge race —
-			// cancelling a straggling replica at the winner's first
-			// result rather than its last.
-			v, err := co.route(ctx, keyed[idxs[0]].Key, func(ctx context.Context, wk *Worker, claim func()) (any, error) {
-				return wk.Client.CampaignStream(ctx, sub, func(int, serve.CampaignItem) { claim() })
+			// each simulation finishes instead of after the whole shard.
+			v, err := co.route(ctx, keyed[idxs[0]].Key, func(ctx context.Context, wk *Worker) (any, error) {
+				return wk.Client.Campaign(ctx, sub)
 			})
 			if err != nil {
 				var se *serve.StatusError
@@ -448,7 +436,7 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	co.count("healthz")
 	live := len(co.Registry.Live())
-	h := Health{
+	h := api.ClusterHealth{
 		Status:       "ok",
 		UptimeSecs:   time.Since(co.started).Seconds(),
 		Generation:   co.Registry.Generation(),
@@ -470,8 +458,8 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.count("metrics")
 	workers := co.Registry.Workers()
-	m := Metrics{
-		Schema:         serve.APISchema,
+	m := api.ClusterMetrics{
+		Schema:         api.Version,
 		UptimeSecs:     time.Since(co.started).Seconds(),
 		Draining:       co.draining.Load(),
 		Generation:     co.Registry.Generation(),
@@ -479,25 +467,23 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		LiveWorkers:    len(co.Registry.Live()),
 		TotalWorkers:   len(workers),
 		Reroutes:       co.reroutes.Load(),
-		Hedges:         co.hedges.Load(),
 		CheckpointHits: co.ckptHits.Load(),
 		Requests:       make(map[string]uint64),
 		Responses:      make(map[string]uint64),
 	}
 	if co.Journal != nil {
 		frames, resumed := co.Journal.Stats()
-		m.Journal = &serve.JournalMetrics{Frames: frames, Resumed: resumed}
+		m.Journal = &api.JournalMetrics{Frames: frames, Resumed: resumed}
 	}
 	if m.Replicas == 0 {
 		m.Replicas = DefaultReplicas
 	}
 	for _, wk := range workers {
-		m.Workers = append(m.Workers, WorkerStatus{
+		m.Workers = append(m.Workers, api.WorkerStatus{
 			URL:      wk.URL,
 			Alive:    wk.Alive(),
 			Requests: wk.reqs.Load(),
 			Errors:   wk.errs.Load(),
-			Hedges:   wk.hedgd.Load(),
 		})
 	}
 	co.mu.Lock()
@@ -520,9 +506,9 @@ func (co *Coordinator) decode(w http.ResponseWriter, r *http.Request, dst any, s
 		co.reject(w, http.StatusBadRequest, fmt.Sprintf("cluster: bad request body: %v", err))
 		return false
 	}
-	if *schema != serve.APISchema {
+	if *schema != api.Version {
 		co.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("cluster: request schema %d, want %d (client/coordinator version skew)", *schema, serve.APISchema))
+			fmt.Sprintf("cluster: request schema %d, want %d (client/coordinator version skew)", *schema, api.Version))
 		return false
 	}
 	return true
@@ -562,7 +548,7 @@ func (co *Coordinator) rejectDraining(w http.ResponseWriter) {
 
 func (co *Coordinator) reject(w http.ResponseWriter, status int, msg string) {
 	co.logf("cluster: %d %s", status, msg)
-	co.writeJSON(w, status, serve.ErrorResponse{Error: msg})
+	co.writeJSON(w, status, api.ErrorResponse{Error: msg})
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {

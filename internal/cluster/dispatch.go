@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync"
 	"time"
 
 	"wishbranch/internal/serve"
@@ -28,29 +27,16 @@ func routable(err error) bool {
 	return se.Status >= 500
 }
 
-func isBusy(err error) bool {
-	var se *serve.StatusError
-	return errors.As(err, &se) && se.Status == http.StatusTooManyRequests
-}
-
-// route executes fn against key's home worker with the full robustness
-// ladder: a hedged second attempt against the ring successor if the
-// home worker stalls past HedgeAfter (first response wins, the loser's
-// context is cancelled), the failed worker marked dead on a routable
-// failure, and a bounded backoff-retry loop that re-resolves the ring
-// each attempt — so a shard whose home died re-homes to the next live
-// node, which is exactly the node its hedges were warming.
-//
-// fn receives a claim func alongside the worker: calling it declares
-// "this attempt is producing the answer" — typically on the first
-// streamed campaign item — and cancels every competing attempt on the
-// spot, instead of at fn's return. Claiming is optional (a nil-op for
-// single-shot exchanges whose first byte is their last) and idempotent.
+// route executes fn against key's home worker with the robustness
+// ladder: one attempt in flight at a time, the failed worker marked
+// dead on a routable failure, and a bounded backoff-retry loop that
+// re-resolves the ring each attempt — so a shard whose home died
+// re-homes to the next live node clockwise, its old ring successor.
 //
 // 429s are aggregated, not routed around: if every attempt ends busy,
 // route returns a single 429 carrying the maximum Retry-After seen, so
 // the caller propagates honest backpressure instead of masking it.
-func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Context, *Worker, func()) (any, error)) (any, error) {
+func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Context, *Worker) (any, error)) (any, error) {
 	var lastErr error
 	var maxRetryAfter time.Duration
 	sawBusy := false
@@ -63,7 +49,7 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 				return nil, ctx.Err()
 			}
 		}
-		cands := co.Registry.Ring().Lookup(key, 2)
+		cands := co.Registry.Ring().Lookup(key, 1)
 		if len(cands) == 0 {
 			if sawBusy {
 				lastErr = busyErr(maxRetryAfter)
@@ -72,9 +58,15 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 			}
 			return nil, lastErr
 		}
-		v, err := co.tryHedged(ctx, cands, fn)
+		w := cands[0]
+		w.reqs.Add(1)
+		v, err := fn(ctx, w)
 		if err == nil {
 			return v, nil
+		}
+		w.errs.Add(1)
+		if ctx.Err() == nil && routable(err) {
+			co.Registry.MarkDead(w)
 		}
 		lastErr = err
 		var se *serve.StatusError
@@ -105,144 +97,6 @@ func busyErr(retryAfter time.Duration) error {
 		Status:     http.StatusTooManyRequests,
 		Msg:        "cluster: every route for this shard is at capacity",
 		RetryAfter: retryAfter,
-	}
-}
-
-// tryHedged runs fn against cands[0], launching a hedge against
-// cands[1] if no answer arrives within HedgeAfter. The first response
-// wins — where "first response" is the first attempt to claim (its
-// first streamed campaign item) or, failing any claim, the first to
-// return successfully. The loser is cancelled through its per-attempt
-// context, which propagates through serve's deadline plumbing into the
-// simulator's cycle loop, so a hedged-away run stops burning worker
-// CPU — and with streaming claims, it stops at the winner's first item
-// instead of its last. Workers that fail with a routable error are
-// marked dead here, where the failing attempt knows which node it hit;
-// a loser cancelled by a claim is not a failing worker and is ignored.
-func (co *Coordinator) tryHedged(ctx context.Context, cands []*Worker, fn func(context.Context, *Worker, func()) (any, error)) (any, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type attemptResult struct {
-		v   any
-		err error
-		w   *Worker
-		idx int
-	}
-	ch := make(chan attemptResult, len(cands))
-
-	// Claim state. claimedBy is the index of the attempt that claimed
-	// the race (-1 = none); closed poisons late claims once tryHedged
-	// has returned — a cancelled straggler may still be draining its
-	// response stream, and its claim must be a no-op by then.
-	var (
-		claimMu   sync.Mutex
-		claimedBy = -1
-		closed    bool
-		cancels   = make([]context.CancelFunc, len(cands))
-	)
-	defer func() {
-		claimMu.Lock()
-		closed = true
-		claimMu.Unlock()
-	}()
-
-	launch := func(idx int) {
-		w := cands[idx]
-		actx, acancel := context.WithCancel(hctx)
-		claimMu.Lock()
-		cancels[idx] = acancel
-		if claimedBy != -1 && claimedBy != idx {
-			acancel() // lost a race with a claim before even starting
-		}
-		claimMu.Unlock()
-		claim := func() {
-			claimMu.Lock()
-			defer claimMu.Unlock()
-			if closed || claimedBy != -1 {
-				return
-			}
-			claimedBy = idx
-			for j, c := range cancels {
-				if j != idx && c != nil {
-					c()
-				}
-			}
-		}
-		w.reqs.Add(1)
-		go func() {
-			v, err := fn(actx, w, claim)
-			ch <- attemptResult{v, err, w, idx}
-		}()
-	}
-	launch(0)
-	outstanding := 1
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if co.HedgeAfter > 0 && len(cands) > 1 {
-		hedgeTimer = time.NewTimer(co.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			claimMu.Lock()
-			lostClaim := claimedBy != -1 && claimedBy != r.idx
-			claimMu.Unlock()
-			if lostClaim {
-				// A cancelled loser settling (usually with a context
-				// error, occasionally with a full answer it managed to
-				// buffer anyway): the claimed attempt owns the answer,
-				// so neither this error nor this value counts, and the
-				// worker is not marked dead for losing a race.
-				if outstanding == 0 {
-					// Unreachable in practice — the claimed attempt
-					// settles through this channel too, setting firstErr
-					// or returning — but never answer (nil, nil).
-					if firstErr == nil {
-						firstErr = errors.New("cluster: every attempt lost the hedge race")
-					}
-					return nil, firstErr
-				}
-				continue
-			}
-			if r.err == nil {
-				return r.v, nil // deferred cancel stops any loser
-			}
-			r.w.errs.Add(1)
-			if ctx.Err() == nil && routable(r.err) {
-				co.Registry.MarkDead(r.w)
-			}
-			// Keep a busy (429) failure in preference to others so the
-			// Retry-After hint survives aggregation.
-			if firstErr == nil || (isBusy(r.err) && !isBusy(firstErr)) {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			claimMu.Lock()
-			claimed := claimedBy != -1
-			claimMu.Unlock()
-			if claimed {
-				continue // the home worker is already streaming its answer
-			}
-			co.hedges.Add(1)
-			cands[1].hedgd.Add(1)
-			co.logf("cluster: hedging straggler shard to %s", cands[1].URL)
-			launch(1)
-			outstanding++
-		case <-ctx.Done():
-			// The request itself is gone; in-flight attempts die with
-			// hctx and drain into the buffered channel.
-			return nil, ctx.Err()
-		}
 	}
 }
 

@@ -32,7 +32,7 @@ func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 	home, successor := cands[0], cands[1]
 
 	var tried []string
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (any, error) {
 		tried = append(tried, w.URL)
 		if w == home {
 			return nil, errors.New("connection refused")
@@ -61,7 +61,7 @@ func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 func TestRoutePermanent4xxIsNotRetried(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	calls := 0
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
 		calls++
 		return nil, &serve.StatusError{Status: http.StatusUnprocessableEntity, Msg: "bad spec"}
 	})
@@ -84,7 +84,7 @@ func TestRouteBusyAggregatesRetryAfter(t *testing.T) {
 	co := dispatchCoordinator(func(c *Coordinator) { c.Retries = 2 })
 	hints := []time.Duration{3 * time.Second, 9 * time.Second, 5 * time.Second}
 	calls := 0
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
 		h := hints[calls]
 		calls++
 		return nil, &serve.StatusError{Status: http.StatusTooManyRequests, Msg: "full", RetryAfter: h}
@@ -104,101 +104,53 @@ func TestRouteBusyAggregatesRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRouteHedgeWinsAndCancelsLoser: the home worker stalls, the hedge
-// fires against the ring successor, its answer wins, and the home
-// attempt's context is cancelled — without the home being demoted
-// (slow is not dead).
-func TestRouteHedgeWinsAndCancelsLoser(t *testing.T) {
-	co := dispatchCoordinator(func(c *Coordinator) { c.HedgeAfter = 2 * time.Millisecond })
+// TestRouteCancelledAttemptKeepsWorkerLive: a home worker that is
+// merely slow holds the request until the caller gives up; the
+// cancelled attempt returns the context error and the worker stays
+// live (slow is not dead) with no re-route burned.
+func TestRouteCancelledAttemptKeepsWorkerLive(t *testing.T) {
+	co := dispatchCoordinator(nil)
 	const key = "straggler"
 	home := co.Registry.Ring().Lookup(key, 1)[0]
 
-	loserCancelled := make(chan struct{})
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker, _ func()) (any, error) {
-		if w == home {
-			<-ctx.Done() // stalls until the winner cancels it
-			close(loserCancelled)
-			return nil, ctx.Err()
-		}
-		return "hedge-result", nil
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	_, err := co.route(ctx, key, func(ctx context.Context, w *Worker) (any, error) {
+		<-ctx.Done() // stalls until the caller's deadline
+		return nil, ctx.Err()
 	})
-	if err != nil || v != "hedge-result" {
-		t.Fatalf("route = %v, %v, want the hedge's answer", v, err)
-	}
-	select {
-	case <-loserCancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the losing attempt was never cancelled")
-	}
-	if co.hedges.Load() != 1 {
-		t.Errorf("hedge counter = %d, want 1", co.hedges.Load())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context deadline", err)
 	}
 	if !home.Alive() {
 		t.Error("a merely slow worker was marked dead")
 	}
-}
-
-// TestRouteClaimCancelsLoserEarly: a streaming attempt that claims the
-// race on its first item cancels the competing attempt at that moment —
-// not when the winner eventually returns. The winner here refuses to
-// finish until it has SEEN the loser die, so the test deadlocks (and
-// fails on its timeout) if cancellation were still return-driven.
-func TestRouteClaimCancelsLoserEarly(t *testing.T) {
-	co := dispatchCoordinator(func(c *Coordinator) { c.HedgeAfter = 2 * time.Millisecond })
-	const key = "streaming-straggler"
-	home := co.Registry.Ring().Lookup(key, 1)[0]
-
-	homeCancelled := make(chan struct{})
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker, claim func()) (any, error) {
-		if w == home {
-			<-ctx.Done() // the home stalls; only a claim can kill it early
-			close(homeCancelled)
-			return nil, ctx.Err()
-		}
-		claim() // the hedge's first streamed item arrives
-		select {
-		case <-homeCancelled:
-		case <-time.After(10 * time.Second):
-			return nil, errors.New("claim did not cancel the loser while the winner was still streaming")
-		}
-		return "claimed-result", nil
-	})
-	if err != nil || v != "claimed-result" {
-		t.Fatalf("route = %v, %v, want the claiming hedge's answer", v, err)
-	}
-	if !home.Alive() {
-		t.Error("a worker cancelled by a lost claim was marked dead")
-	}
-	if home.errs.Load() != 0 {
-		t.Errorf("loser error counter = %d, want 0 — losing a race is not a worker failure", home.errs.Load())
+	if co.reroutes.Load() != 0 {
+		t.Errorf("reroutes = %d, want 0 — a dead request context must not retry", co.reroutes.Load())
 	}
 }
 
-// TestRouteClaimSuppressesHedge: once the home worker has claimed (its
-// first item is streaming), a later hedge timer must not launch a
-// pointless replica.
-func TestRouteClaimSuppressesHedge(t *testing.T) {
-	co := dispatchCoordinator(func(c *Coordinator) { c.HedgeAfter = 2 * time.Millisecond })
-	const key = "slow-but-streaming"
+// TestRouteSlowHomeGetsOneAttempt: a home worker that answers late
+// still owns its shard — route keeps exactly one attempt in flight, so
+// the ring successor never sees the request.
+func TestRouteSlowHomeGetsOneAttempt(t *testing.T) {
+	co := dispatchCoordinator(nil)
+	const key = "slow-but-answering"
 	cands := co.Registry.Ring().Lookup(key, 2)
 	home, successor := cands[0], cands[1]
 
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker, claim func()) (any, error) {
+	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (any, error) {
 		if w != home {
-			return nil, errors.New("the hedge ran despite a claim")
+			return nil, errors.New("a second attempt ran against the successor")
 		}
-		claim()                           // first item lands immediately...
-		time.Sleep(20 * time.Millisecond) // ...but the tail outlives HedgeAfter
+		time.Sleep(20 * time.Millisecond)
 		return "home-result", nil
 	})
 	if err != nil || v != "home-result" {
 		t.Fatalf("route = %v, %v, want the home answer", v, err)
 	}
-	if co.hedges.Load() != 0 {
-		t.Errorf("hedge counter = %d, want 0 — the home had already claimed", co.hedges.Load())
-	}
-	if successor.reqs.Load() != 0 {
-		t.Errorf("ring successor saw %d requests, want 0", successor.reqs.Load())
+	if home.reqs.Load() != 1 || successor.reqs.Load() != 0 {
+		t.Errorf("requests: home %d, successor %d — want 1 and 0", home.reqs.Load(), successor.reqs.Load())
 	}
 }
 
@@ -208,7 +160,7 @@ func TestRouteNoLiveWorkers(t *testing.T) {
 	for _, w := range co.Registry.Workers() {
 		co.Registry.MarkDead(w)
 	}
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
 		t.Fatal("fn ran with no live workers")
 		return nil, nil
 	})
@@ -221,7 +173,7 @@ func TestRouteNoLiveWorkers(t *testing.T) {
 // them one by one and reports the last failure once the ring is dry.
 func TestRouteExhaustionDrainsRing(t *testing.T) {
 	co := dispatchCoordinator(func(c *Coordinator) { c.Retries = 10 })
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
 		return nil, errors.New("kaboom")
 	})
 	if err == nil || err.Error() != "kaboom" {
@@ -242,7 +194,7 @@ func TestRouteDeadlineAbortsBackoff(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := co.route(ctx, "k", func(ctx context.Context, w *Worker, _ func()) (any, error) {
+	_, err := co.route(ctx, "k", func(ctx context.Context, w *Worker) (any, error) {
 		return nil, &serve.StatusError{Status: http.StatusTooManyRequests, Msg: "full"}
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -63,8 +64,8 @@ func TestCampaignHostileWorkerJSON(t *testing.T) {
 		{
 			name: "wrong-item-count",
 			handler: func(w http.ResponseWriter, r *http.Request) {
-				serve.WriteJSON(w, http.StatusOK, serve.CampaignResponse{
-					Items: []serve.CampaignItem{{Key: "only-one"}},
+				serve.WriteJSON(w, http.StatusOK, api.CampaignResponse{
+					Items: []api.CampaignItem{{Key: "only-one"}},
 				})
 			},
 			wantErr: "items",
@@ -72,13 +73,13 @@ func TestCampaignHostileWorkerJSON(t *testing.T) {
 		{
 			name: "wrong-keys",
 			handler: func(w http.ResponseWriter, r *http.Request) {
-				var req serve.CampaignRequest
+				var req api.CampaignRequest
 				json.NewDecoder(r.Body).Decode(&req)
-				items := make([]serve.CampaignItem, len(req.Specs))
+				items := make([]api.CampaignItem, len(req.Specs))
 				for i := range items {
 					items[i].Key = "imposter"
 				}
-				serve.WriteJSON(w, http.StatusOK, serve.CampaignResponse{Items: items})
+				serve.WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 			},
 			wantErr: "wire-format skew",
 		},

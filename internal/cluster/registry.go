@@ -34,7 +34,6 @@ type Worker struct {
 	alive atomic.Bool
 	reqs  atomic.Uint64 // attempts routed to this worker
 	errs  atomic.Uint64 // attempts that failed
-	hedgd atomic.Uint64 // hedge attempts launched against it
 }
 
 // Alive reports whether the worker is currently routable.

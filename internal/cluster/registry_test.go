@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -72,7 +73,7 @@ func TestRegistryProbe(t *testing.T) {
 		if !healthy.Load() {
 			status = "sick"
 		}
-		json.NewEncoder(w).Encode(serve.Health{Status: status}) //nolint:errcheck
+		json.NewEncoder(w).Encode(api.Health{Status: status}) //nolint:errcheck
 	}))
 	defer flappy.Close()
 
@@ -119,7 +120,7 @@ func drainingHandler(t *testing.T, s *serve.Server) http.Handler {
 // goes away, and stops cleanly (twice — Stop is idempotent).
 func TestRegistryStartStop(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(serve.Health{Status: "ok"}) //nolint:errcheck
+		json.NewEncoder(w).Encode(api.Health{Status: "ok"}) //nolint:errcheck
 	}))
 	r := NewRegistry([]string{ts.URL})
 	r.ProbeInterval = time.Millisecond

@@ -59,10 +59,10 @@ func BuildRing(workers []*Worker, replicas int) *Ring {
 func (r *Ring) Empty() bool { return len(r.points) == 0 }
 
 // Lookup returns up to n distinct workers for key, in ring order: the
-// first is the key's home, the rest are its failover/hedge successors.
+// first is the key's home, the rest are its failover successors.
 // Walking clockwise from the key's hash position means the successor
 // set is stable too — when a home worker dies, every one of its keys
-// re-homes to the same node its hedges were already warming.
+// re-homes to the same node.
 func (r *Ring) Lookup(key string, n int) []*Worker {
 	if len(r.points) == 0 || n <= 0 {
 		return nil

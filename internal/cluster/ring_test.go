@@ -52,8 +52,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // makes sharding worth having: removing one worker re-homes only the
 // keys it owned — every other worker's shard (and therefore its warm
 // memo table and store) is untouched — and each re-homed key lands on
-// its old ring successor, the node failover and hedging were already
-// pointed at.
+// its old ring successor, the node failover was already pointed at.
 func TestRingMinimalReshuffle(t *testing.T) {
 	ws := mkWorkers("http://a", "http://b", "http://c")
 	full := BuildRing(ws, 0)

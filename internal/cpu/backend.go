@@ -24,7 +24,6 @@ func (c *CPU) dispatch() {
 			need = 2
 		}
 		if c.robCount+need > len(c.rob) {
-			c.dbgRobFull++
 			c.acctFull = true
 			return
 		}
@@ -95,7 +94,6 @@ func (c *CPU) addOldDstDeps(u *uop, in *isa.Inst) {
 // rename computes u's dependences, updates the fetch-order writer
 // tables, allocates window entries, and wakes u if already ready.
 func (c *CPU) rename(u *uop) {
-	u.dispatched = true
 	in := u.inst
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Seq: u.seq, PC: u.pc, Kind: obs.EvRename})
@@ -211,7 +209,6 @@ func (c *CPU) rename(u *uop) {
 		c.readyQ.push(u)
 	}
 	if sel != nil {
-		sel.dispatched = true
 		c.robPush(sel)
 		if sel.pendingDeps == 0 {
 			c.readyQ.push(sel)
@@ -371,8 +368,6 @@ drain:
 // resolve implements the branch misprediction detection/recovery module
 // of §3.5.4.
 func (c *CPU) resolve(u *uop) {
-	c.dbgResolveCnt++
-	c.dbgResolveDelay += c.cycle - u.fetchCycle
 	if u.mispredict {
 		// Normal branches, high-confidence wish branches, indirect
 		// branches and returns, and wish-loop early exits: flush.
@@ -564,10 +559,6 @@ func (c *CPU) retire() {
 			panic("cpu: squashed µop at window head")
 		}
 		if !u.done || u.doneCycle > c.cycle {
-			c.dbgHeadBlock[u.inst.Op]++
-			if !u.dispatched {
-				c.dbgHeadUndisp++
-			}
 			return
 		}
 		c.rob[c.robHead] = nil

@@ -365,8 +365,8 @@ func FuzzResultCodec(f *testing.F) {
 
 // BenchmarkResultCodec measures the binary codec's steady-state
 // throughput over the fully-populated fixture — reused buffers, so
-// allocs/op must report 0 (the property TestResultCodecZeroAlloc and
-// the bench gate's codec/result entry enforce).
+// allocs/op must report 0 (the property TestResultCodecZeroAlloc
+// enforces).
 func BenchmarkResultCodec(b *testing.B) {
 	r := fixtureResult()
 	frame := AppendResult(nil, r)

@@ -27,6 +27,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
 	"wishbranch/internal/bpred"
@@ -136,18 +137,9 @@ type CPU struct {
 	acctFull    bool // dispatch was blocked on window space this cycle
 	ring        *obs.Ring
 
-	// Internal diagnostics, maintained cheaply every run: cumulative
-	// branch resolution delay (flush-penalty decomposition), cycles the
-	// window was full at dispatch, retire-blocked cycles by the head
-	// µop's opcode, and cycles elided by event skipping. Not part of
-	// Result, but repeatedly the fastest way to localize a performance
-	// anomaly (see DESIGN.md §7).
-	dbgResolveDelay uint64
-	dbgResolveCnt   uint64
-	dbgRobFull      uint64
-	dbgHeadBlock    [32]uint64
-	dbgHeadUndisp   uint64
-	dbgSkipped      uint64
+	// dbgSkipped counts cycles elided by event skipping (read by
+	// TestCycleSkippingActuallySkips). Not part of Result.
+	dbgSkipped uint64
 }
 
 // New builds a simulator for program p under machine cfg. The initial
@@ -208,9 +200,46 @@ func (c *CPU) SetCycleSkipping(on bool) { c.skipOff = !on }
 // configuration (callers that want wall-clock throughput time the call
 // themselves).
 func (c *CPU) Run(maxCycles uint64) (*Result, error) {
+	return c.RunContext(context.Background(), maxCycles)
+}
+
+// cancelCheckInterval is how many scheduler wake-ups RunContext lets
+// pass between cancellation polls. Each wake-up is either one live
+// cycle or one bulk event-skip jump, so the poll rides the existing
+// event-skip cadence instead of adding a per-cycle branch: a dead
+// stretch of a million cycles costs one poll, and a fully live pipeline
+// polls every 32Ki cycles. The poll is a non-blocking select on a
+// channel obtained once before the loop, so the hot path stays
+// allocation-free (TestRunContextZeroAlloc).
+const cancelCheckInterval = 1 << 15
+
+// RunContext is Run with cooperative cancellation: when ctx is
+// cancelled (or its deadline passes), the simulation stops at the next
+// cancellation poll and returns the partial result together with an
+// error wrapping ctx.Err(). A context that can never be cancelled
+// (context.Background, context.TODO) has a nil Done channel, so every
+// poll falls through.
+//
+// Cancellation is a host-side concern only: a run that completes
+// before the context fires returns a result bit-identical to Run's
+// (TestRunContextEquivalence).
+func (c *CPU) RunContext(ctx context.Context, maxCycles uint64) (*Result, error) {
+	done := ctx.Done()
+	// An already-cancelled context must not simulate anything: without
+	// this upfront poll a dead context would still run up to 32Ki
+	// wake-ups before the first countdown poll. Returning here leaves
+	// the CPU in a clean resumable state — the µop arena, free-list,
+	// and writer tables are untouched, so a later RunContext call picks
+	// up exactly where this one stopped (TestRunContextPreCancelled).
+	select {
+	case <-done:
+		return c.stopCancelled(ctx)
+	default:
+	}
 	if maxCycles == 0 {
 		maxCycles = 1 << 40
 	}
+	countdown := cancelCheckInterval
 	for !c.res.Halted {
 		if c.cycle >= maxCycles {
 			c.res.Cycles = c.cycle
@@ -219,10 +248,27 @@ func (c *CPU) Run(maxCycles uint64) (*Result, error) {
 				maxCycles, c.st.PC, c.res.RetiredUops)
 		}
 		c.stepOrSkip(maxCycles)
+		if countdown--; countdown == 0 {
+			countdown = cancelCheckInterval
+			select {
+			case <-done:
+				return c.stopCancelled(ctx)
+			default:
+			}
+		}
 	}
 	c.res.Cycles = c.cycle
 	c.finishRun()
 	return &c.res, nil
+}
+
+// stopCancelled ends a run interrupted by ctx, returning the partial
+// result and an error wrapping ctx.Err().
+func (c *CPU) stopCancelled(ctx context.Context) (*Result, error) {
+	c.res.Cycles = c.cycle
+	c.finishRun()
+	return &c.res, fmt.Errorf("cpu: run cancelled at cycle %d (pc=%d, retired=%d): %w",
+		c.cycle, c.st.PC, c.res.RetiredUops, ctx.Err())
 }
 
 // Advance runs the pipeline for up to n more cycles and reports
@@ -341,7 +387,6 @@ func (c *CPU) bulkAccount(n uint64) {
 		} else {
 			b = obs.ExecLatency
 		}
-		c.dbgHeadBlock[head.inst.Op] += n
 	}
 	c.res.Acct.Buckets[b] += n
 	c.dbgSkipped += n

@@ -64,7 +64,7 @@ func (c *CPU) fetch() {
 		inst := &c.prog.Code[pc]
 		u := c.newUop()
 		u.seq, u.pc, u.inst = c.seq, pc, inst
-		u.wrongPath, u.mode, u.fetchCycle = c.shadow != nil, c.mode, c.cycle
+		u.wrongPath, u.mode = c.shadow != nil, c.mode
 		c.seq++
 
 		endGroup := false

@@ -97,13 +97,11 @@ type uop struct {
 	deps        [maxDeps]*uop
 	pendingDeps int
 	dependents  []*uop
-	dispatched  bool
 	done        bool
 	doneCycle   uint64
 	isSelect    bool // injected select µop (select-µop predication)
 	fwdStore    bool // load forwarded from an in-flight store
 	dispReady   uint64
-	fetchCycle  uint64
 }
 
 // depOverflowPanic makes addDep panic instead of saturating when a µop

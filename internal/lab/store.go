@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,10 +13,12 @@ import (
 
 // Store is a persistent content-addressed result store. Each record is
 // one cpu.Result serialized with the binary result codec under the
-// SHA-256 of its spec key, written atomically (temp file + rename);
-// legacy JSON records written before the codec still decode via a
-// fallback read. Corrupt, stale, or foreign-schema records are treated
-// as misses and re-simulated — never an error, never a crash.
+// SHA-256 of its spec key, written atomically (temp file + rename).
+// Corrupt, stale, or foreign-schema records are treated as misses and
+// re-simulated — never an error, never a crash. So are the JSON records
+// written before the binary codec: the store is advisory, so an old
+// <hash>.json record is simply re-simulated (and still counts against
+// a size bound until evicted).
 type Store struct {
 	dir string
 
@@ -37,22 +38,12 @@ type Store struct {
 	prePins map[string]bool
 }
 
-// record is the legacy JSON on-disk format (every store written before
-// the binary codec). The full key is stored alongside the result so a
-// hash collision or a stale schema reads as a miss instead of
-// returning the wrong result.
-type record struct {
-	Schema int         `json:"schema"`
-	Key    string      `json:"key"`
-	Result *cpu.Result `json:"result"`
-}
-
-// Binary record format (the write format since the result codec;
-// DESIGN.md §14). Same dir/v3 namespace and the same guarantees as the
-// JSON records — full key stored, schema checked, anything malformed
-// is a miss — but the result payload is the versioned cpu codec frame
-// instead of JSON, which is what makes a warm campaign's store reads
-// nearly free:
+// Binary record format (DESIGN.md §14). The full key is stored
+// alongside the result and the schema is checked, so a hash collision
+// or a stale schema reads as a miss instead of returning the wrong
+// result; anything malformed is a miss too. The result payload is the
+// versioned cpu codec frame, which is what makes a warm campaign's
+// store reads nearly free:
 //
 //	offset  size      field
 //	0       4         magic "WBR1"
@@ -62,9 +53,7 @@ type record struct {
 //	12+K    rest      cpu.Result binary frame (self-delimiting)
 //
 // The record is valid only if the result frame consumes the file's
-// remaining bytes exactly. Existing v3 JSON records keep decoding via
-// getJSON fallback, so a pre-upgrade cache warms a post-upgrade
-// campaign; fresh writes land next to them as .bin files.
+// remaining bytes exactly.
 const binRecordMagic = "WBR1"
 
 // appendBinRecord serializes a binary record.
@@ -125,14 +114,9 @@ func (s *Store) Dir() string { return s.dir }
 func schemaDirName() string { return fmt.Sprintf("v%d", SchemaVersion) }
 
 // path shards records by the first byte of the hash to keep directory
-// fan-out sane for large campaigns. .bin is the current (binary)
-// record; .json is the legacy record the fallback read still honors.
+// fan-out sane for large campaigns.
 func (s *Store) path(hash string) string {
 	return filepath.Join(s.dir, schemaDirName(), hash[:2], hash+".bin")
-}
-
-func (s *Store) legacyPath(hash string) string {
-	return filepath.Join(s.dir, schemaDirName(), hash[:2], hash+".json")
 }
 
 // Get looks a key up. It returns nil on any miss: absent, unreadable,
@@ -146,34 +130,15 @@ func (s *Store) Get(key string) *cpu.Result {
 // pinned by TestKeyedMatchesKey), sparing hot callers the SHA-256.
 func (s *Store) GetHashed(key, hash string) *cpu.Result {
 	path := s.path(hash)
-	if data, err := os.ReadFile(path); err == nil {
-		if r := decodeBinRecord(data, key); r != nil {
-			s.touch(path)
-			return r
-		}
-	}
-	if r := s.getJSON(key, hash); r != nil {
-		s.touch(s.legacyPath(hash))
-		return r
-	}
-	return nil
-}
-
-// getJSON reads a legacy v3 JSON record, so stores written before the
-// binary codec keep serving warm campaigns after the upgrade.
-func (s *Store) getJSON(key, hash string) *cpu.Result {
-	data, err := os.ReadFile(s.legacyPath(hash))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil
+	r := decodeBinRecord(data, key)
+	if r != nil {
+		s.touch(path)
 	}
-	if rec.Schema != SchemaVersion || rec.Key != key || rec.Result == nil {
-		return nil
-	}
-	return rec.Result
+	return r
 }
 
 // Put stores a result under key, atomically and durably: the record is

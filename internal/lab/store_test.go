@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"wishbranch/internal/cpu"
 )
@@ -85,75 +86,93 @@ func TestStoreIgnoresCorruptRecords(t *testing.T) {
 	}
 }
 
-// writeLegacyJSONRecord plants a pre-binary-codec v3 record, exactly
-// as the old Put marshaled it.
-func writeLegacyJSONRecord(t *testing.T, st *Store, key string, r *cpu.Result) string {
+// writeLegacyJSONRecord plants a valid record in the pre-binary-codec
+// v3 JSON format next to where the .bin record would go, and returns
+// its path and bytes.
+func writeLegacyJSONRecord(t *testing.T, st *Store, key string, r *cpu.Result) (string, []byte) {
 	t.Helper()
-	path := st.legacyPath(hashKey(key))
+	hash := hashKey(key)
+	path := filepath.Join(filepath.Dir(st.path(hash)), hash+".json")
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(record{Schema: SchemaVersion, Key: key, Result: r})
+	data, err := json.Marshal(struct {
+		Schema int         `json:"schema"`
+		Key    string      `json:"key"`
+		Result *cpu.Result `json:"result"`
+	}{SchemaVersion, key, r})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, data
 }
 
-// TestStoreReadsLegacyJSONRecords is the migration regression test: a
-// store populated before the binary codec (v3 JSON records) keeps
-// serving warm reads through the fallback path, and a fresh Put
-// upgrades the entry in place — the binary record then takes
-// precedence.
+// TestStoreReadsLegacyJSONRecords is the upgrade path for stores
+// written before the binary codec: reading an old <hash>.json record
+// is a miss, a fresh Put writes the .bin record that then hits, and a
+// size bound still counts the leftover .json bytes and can evict them,
+// so an old store cannot grow past its bound.
 func TestStoreReadsLegacyJSONRecords(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testSpec().Key()
-	want := testResult()
-	writeLegacyJSONRecord(t, st, key, want)
-
-	got := st.Get(key)
-	if got == nil {
-		t.Fatal("legacy JSON record read as a miss")
-	}
-	if got.Cycles != want.Cycles || got.RetiredUops != want.RetiredUops {
-		t.Fatalf("legacy read changed the result: got %+v want %+v", got, want)
-	}
-
-	// A fresh Put writes the binary form; with both present the binary
-	// record wins (plant a poisoned legacy record to prove it).
-	upgraded := testResult()
-	upgraded.Cycles++
-	if err := st.Put(key, upgraded); err != nil {
+	legacy, data := writeLegacyJSONRecord(t, st, key, testResult())
+	old := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(legacy, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.path(hashKey(key))); err != nil {
-		t.Fatalf("Put did not write a binary record: %v", err)
+
+	if st.Get(key) != nil {
+		t.Fatal("legacy JSON record was served instead of treated as a miss")
 	}
-	if got := st.Get(key); got == nil || got.Cycles != upgraded.Cycles {
-		t.Fatalf("binary record did not take precedence: got %+v", got)
+	want := testResult()
+	if err := st.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get(key); got == nil || got.Cycles != want.Cycles || got.RetiredUops != want.RetiredUops {
+		t.Fatalf("Put after a legacy miss did not hit: got %+v want %+v", got, want)
+	}
+
+	binInfo, err := os.Stat(st.path(hashKey(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := binInfo.Size() + int64(len(data))
+	if err := st.SetMaxBytes(total); err != nil {
+		t.Fatal(err)
+	}
+	if st.Bytes() != total {
+		t.Fatalf("GC scan tracks %d bytes, want %d (the .bin plus the leftover .json)", st.Bytes(), total)
+	}
+	if err := st.SetMaxBytes(binInfo.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Errorf("leftover .json record survived a bound that only fits the .bin: %v", err)
+	}
+	if st.Evictions() != 1 || st.Bytes() != binInfo.Size() {
+		t.Errorf("after eviction: %d evictions, %d bytes — want 1 and %d", st.Evictions(), st.Bytes(), binInfo.Size())
+	}
+	if st.Get(key) == nil {
+		t.Error("evicting the leftover .json took the .bin record with it")
 	}
 }
 
-// TestStoreLegacyJSONCorruption keeps the original JSON corruption
-// table alive against the fallback path: a corrupt legacy record is a
-// miss, never an error.
+// TestStoreLegacyJSONCorruption: a corrupt legacy JSON record is a
+// miss, never an error, and does not shadow the .bin record a later
+// Put writes beside it.
 func TestStoreLegacyJSONCorruption(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testSpec().Key()
-	path := writeLegacyJSONRecord(t, st, key, testResult())
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, orig := writeLegacyJSONRecord(t, st, key, testResult())
 	corruptions := []struct {
 		name string
 		mut  func(data []byte) []byte
@@ -178,6 +197,13 @@ func TestStoreLegacyJSONCorruption(t *testing.T) {
 		if st.Get(key) != nil {
 			t.Errorf("%s legacy record was served instead of treated as a miss", c.name)
 		}
+	}
+	want := testResult()
+	if err := st.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get(key); got == nil || got.Cycles != want.Cycles {
+		t.Fatalf("corrupt legacy record shadowed the .bin record: got %+v want %+v", got, want)
 	}
 }
 

@@ -32,7 +32,7 @@ func wireResult(seed uint64) *cpu.Result {
 // json-equal payloads.
 func TestServerNegotiatesRunEncoding(t *testing.T) {
 	ts, _ := newTestServer(t, &Server{Lab: lab.New()})
-	body, _ := json.Marshal(RunRequest{Schema: APISchema, Spec: cheapSpec()})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: cheapSpec()})
 
 	post := func(accept string) *http.Response {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
@@ -55,20 +55,20 @@ func TestServerNegotiatesRunEncoding(t *testing.T) {
 	if ct := jsonResp.Header.Get("Content-Type"); !api.IsContentType(ct, "application/json") {
 		t.Fatalf("no Accept: content type %q, want JSON", ct)
 	}
-	var viaJSON RunResponse
+	var viaJSON api.RunResponse
 	if err := json.NewDecoder(jsonResp.Body).Decode(&viaJSON); err != nil {
 		t.Fatal(err)
 	}
 
-	binResp := post(BinaryContentType + ", application/json")
-	if ct := binResp.Header.Get("Content-Type"); !api.IsContentType(ct, BinaryContentType) {
-		t.Fatalf("binary Accept: content type %q, want %q", ct, BinaryContentType)
+	binResp := post(api.BinaryContentType + ", application/json")
+	if ct := binResp.Header.Get("Content-Type"); !api.IsContentType(ct, api.BinaryContentType) {
+		t.Fatalf("binary Accept: content type %q, want %q", ct, api.BinaryContentType)
 	}
 	data := new(bytes.Buffer)
 	if _, err := data.ReadFrom(binResp.Body); err != nil {
 		t.Fatal(err)
 	}
-	var viaBin RunResponse
+	var viaBin api.RunResponse
 	if err := api.DecodeRunResponse(data.Bytes(), &viaBin); err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +94,13 @@ func TestServerStreamsCampaign(t *testing.T) {
 	l.Backend = scriptedBackend(nil, 0.015) // scale 0.015 fails per-item
 	ts, cl := newTestServer(t, &Server{Lab: l})
 
-	var streamed atomic.Int32
-	viaStream, err := cl.CampaignStream(context.Background(), specs, func(int, CampaignItem) {
-		streamed.Add(1)
-	})
+	viaStream, err := cl.Campaign(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamed.Load(); got != int32(len(specs)) {
-		t.Errorf("onItem fired %d times, want %d", got, len(specs))
-	}
 
 	// The raw JSON path, bypassing client negotiation.
-	body, _ := json.Marshal(CampaignRequest{Schema: APISchema, Specs: specs})
+	body, _ := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: specs})
 	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +109,7 @@ func TestServerStreamsCampaign(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !api.IsContentType(ct, "application/json") {
 		t.Fatalf("plain POST got content type %q", ct)
 	}
-	var viaJSON CampaignResponse
+	var viaJSON api.CampaignResponse
 	if err := json.NewDecoder(resp.Body).Decode(&viaJSON); err != nil {
 		t.Fatal(err)
 	}
@@ -134,18 +128,18 @@ func TestClientFallsBackToJSONServer(t *testing.T) {
 	res := wireResult(11)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		var req RunRequest
+		var req api.RunRequest
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
-		WriteJSON(w, http.StatusOK, RunResponse{Key: req.Spec.Key(), Result: res})
+		WriteJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
 	})
 	mux.HandleFunc("POST /v1/campaign", func(w http.ResponseWriter, r *http.Request) {
-		var req CampaignRequest
+		var req api.CampaignRequest
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
-		items := make([]CampaignItem, len(req.Specs))
+		items := make([]api.CampaignItem, len(req.Specs))
 		for i := range req.Specs {
-			items[i] = CampaignItem{Key: req.Specs[i].Key(), Result: res}
+			items[i] = api.CampaignItem{Key: req.Specs[i].Key(), Result: res}
 		}
-		WriteJSON(w, http.StatusOK, CampaignResponse{Items: items})
+		WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -154,14 +148,12 @@ func TestClientFallsBackToJSONServer(t *testing.T) {
 	if _, err := cl.Run(context.Background(), cheapSpec()); err != nil {
 		t.Fatalf("Run against JSON-only server: %v", err)
 	}
-	var delivered int
-	items, err := cl.CampaignStream(context.Background(), []lab.Spec{cheapSpec(), cheapSpec()},
-		func(int, CampaignItem) { delivered++ })
+	items, err := cl.Campaign(context.Background(), []lab.Spec{cheapSpec(), cheapSpec()})
 	if err != nil {
 		t.Fatalf("Campaign against JSON-only server: %v", err)
 	}
-	if len(items) != 2 || delivered != 2 {
-		t.Errorf("got %d items, %d onItem calls, want 2 and 2", len(items), delivered)
+	if len(items) != 2 {
+		t.Errorf("got %d items, want 2", len(items))
 	}
 }
 
@@ -169,11 +161,11 @@ func TestClientFallsBackToJSONServer(t *testing.T) {
 // first attempt must read as a retryable transport failure, and the
 // retry must deliver the full campaign.
 func TestClientRetriesCutStream(t *testing.T) {
-	item := CampaignItem{Key: cheapSpec().Key(), Result: wireResult(5)}
+	item := api.CampaignItem{Key: cheapSpec().Key(), Result: wireResult(5)}
 	var calls atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/campaign", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", StreamContentType)
+		w.Header().Set("Content-Type", api.StreamContentType)
 		w.WriteHeader(http.StatusOK)
 		if calls.Add(1) == 1 {
 			// One item of two, then die without the terminal frame.

@@ -94,8 +94,8 @@ func (c *Client) init() {
 // the server stops simulating when the client stops waiting.
 func (c *Client) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
 	c.init()
-	req := RunRequest{Schema: APISchema, Spec: spec, TimeoutMs: timeoutMs(ctx)}
-	var resp RunResponse
+	req := api.RunRequest{Schema: api.Version, Spec: spec, TimeoutMs: timeoutMs(ctx)}
+	var resp api.RunResponse
 	if err := c.do(ctx, "/v1/run", req, &resp); err != nil {
 		return nil, err
 	}
@@ -112,27 +112,10 @@ func (c *Client) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
 // Campaign executes a batch remotely and returns its items in request
 // order. Per-item failures are reported inside the items; the error
 // return covers transport- and batch-level failures only.
-func (c *Client) Campaign(ctx context.Context, specs []lab.Spec) ([]CampaignItem, error) {
-	return c.CampaignStream(ctx, specs, nil)
-}
-
-// CampaignStream is Campaign with incremental delivery: onItem, when
-// non-nil, is invoked with (request index, item) as results arrive —
-// per completed simulation against a streaming server, or once per
-// item after the full response decodes against a JSON-only one. The
-// returned slice is the authoritative request-ordered result either
-// way.
-//
-// onItem may run more than once for an index: a retried attempt (say,
-// a stream cut mid-campaign) re-delivers everything it receives. Items
-// are pure functions of their specs, so re-deliveries carry equal
-// values; callers that act on first delivery (a hedging coordinator
-// claiming the race) must simply be idempotent. onItem is called
-// sequentially from the decoding goroutine and should not block.
-func (c *Client) CampaignStream(ctx context.Context, specs []lab.Spec, onItem func(i int, item CampaignItem)) ([]CampaignItem, error) {
+func (c *Client) Campaign(ctx context.Context, specs []lab.Spec) ([]api.CampaignItem, error) {
 	c.init()
-	req := CampaignRequest{Schema: APISchema, Specs: specs, TimeoutMs: timeoutMs(ctx)}
-	sink := &campaignSink{n: len(specs), onItem: onItem}
+	req := api.CampaignRequest{Schema: api.Version, Specs: specs, TimeoutMs: timeoutMs(ctx)}
+	sink := &campaignSink{n: len(specs)}
 	if err := c.do(ctx, "/v1/campaign", req, sink); err != nil {
 		return nil, err
 	}
@@ -143,16 +126,15 @@ func (c *Client) CampaignStream(ctx context.Context, specs []lab.Spec, onItem fu
 // the stream wire and accepts either encoding, whichever the server
 // speaks.
 type campaignSink struct {
-	n      int
-	onItem func(i int, item CampaignItem)
-	items  []CampaignItem
+	n     int
+	items []api.CampaignItem
 }
 
 // Health fetches /healthz. A draining server answers 503 with a valid
 // body, so that status is not an error here.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
+func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	c.init()
-	var h Health
+	var h api.Health
 	if err := c.get(ctx, "/healthz", &h); err != nil {
 		return nil, err
 	}
@@ -160,9 +142,9 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 }
 
 // Metrics fetches /metrics.
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
+func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
 	c.init()
-	var m Metrics
+	var m api.Metrics
 	if err := c.get(ctx, "/metrics", &m); err != nil {
 		return nil, err
 	}
@@ -275,8 +257,8 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, out any)
 func (c *Client) decodeResponse(resp *http.Response, out any) (retryable bool, err error) {
 	ct := resp.Header.Get("Content-Type")
 	switch o := out.(type) {
-	case *RunResponse:
-		if api.IsContentType(ct, BinaryContentType) {
+	case *api.RunResponse:
+		if api.IsContentType(ct, api.BinaryContentType) {
 			data, err := io.ReadAll(resp.Body)
 			if err != nil {
 				return true, fmt.Errorf("serve: read binary response: %w", err)
@@ -287,15 +269,15 @@ func (c *Client) decodeResponse(resp *http.Response, out any) (retryable bool, e
 			return false, nil
 		}
 	case *campaignSink:
-		if api.IsContentType(ct, StreamContentType) {
-			items, err := api.ReadCampaignStream(resp.Body, o.n, o.onItem)
+		if api.IsContentType(ct, api.StreamContentType) {
+			items, err := api.ReadCampaignStream(resp.Body, o.n)
 			if err != nil {
 				return true, err
 			}
 			o.items = items
 			return false, nil
 		}
-		var cr CampaignResponse
+		var cr api.CampaignResponse
 		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 			return true, fmt.Errorf("serve: decode response: %w", err)
 		}
@@ -303,11 +285,6 @@ func (c *Client) decodeResponse(resp *http.Response, out any) (retryable bool, e
 			return false, fmt.Errorf("serve: campaign answered %d items for %d specs", len(cr.Items), o.n)
 		}
 		o.items = cr.Items
-		if o.onItem != nil {
-			for i, item := range cr.Items {
-				o.onItem(i, item)
-			}
-		}
 		return false, nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -322,10 +299,10 @@ func (c *Client) decodeResponse(resp *http.Response, out any) (retryable bool, e
 // exchange works across any version skew.
 func acceptFor(out any) string {
 	switch out.(type) {
-	case *RunResponse:
-		return BinaryContentType + ", application/json"
+	case *api.RunResponse:
+		return api.BinaryContentType + ", application/json"
 	case *campaignSink:
-		return StreamContentType + ", application/json"
+		return api.StreamContentType + ", application/json"
 	}
 	return ""
 }
@@ -381,7 +358,7 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 }
 
 func readErrBody(r io.Reader) string {
-	var e ErrorResponse
+	var e api.ErrorResponse
 	if err := json.NewDecoder(io.LimitReader(r, 1<<16)).Decode(&e); err == nil && e.Error != "" {
 		return e.Error
 	}

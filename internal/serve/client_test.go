@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
 )
@@ -86,7 +87,7 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		attempts.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(ErrorResponse{Error: "nope"}) //nolint:errcheck
+		json.NewEncoder(w).Encode(api.ErrorResponse{Error: "nope"}) //nolint:errcheck
 	}))
 	defer ts.Close()
 	cl := &Client{Base: ts.URL, Backoff: time.Millisecond}
@@ -105,7 +106,7 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		attempts.Add(1)
 		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(ErrorResponse{Error: "still broken"}) //nolint:errcheck
+		json.NewEncoder(w).Encode(api.ErrorResponse{Error: "still broken"}) //nolint:errcheck
 	}))
 	defer ts.Close()
 	cl := &Client{Base: ts.URL, Retries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
@@ -121,7 +122,7 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 // cache key signals wire-format skew and must not be trusted.
 func TestClientKeyMismatchIsFatal(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(RunResponse{Key: "wrong", Result: &cpu.Result{Cycles: 1}}) //nolint:errcheck
+		json.NewEncoder(w).Encode(api.RunResponse{Key: "wrong", Result: &cpu.Result{Cycles: 1}}) //nolint:errcheck
 	}))
 	defer ts.Close()
 	cl := &Client{Base: ts.URL, Retries: -1}

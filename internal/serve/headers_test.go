@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/lab"
 )
 
@@ -38,7 +39,7 @@ func TestResponseHeadersEveryEndpoint(t *testing.T) {
 		}
 	}
 	runBody := func(spec lab.Spec) *bytes.Reader {
-		b, err := json.Marshal(RunRequest{Schema: APISchema, Spec: spec})
+		b, err := json.Marshal(api.RunRequest{Schema: api.Version, Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestResponseHeadersEveryEndpoint(t *testing.T) {
 		assertJSON(t, resp, http.StatusUnprocessableEntity)
 	})
 	t.Run("campaign 200", func(t *testing.T) {
-		b, err := json.Marshal(CampaignRequest{Schema: APISchema, Specs: []lab.Spec{cheapSpec()}})
+		b, err := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: []lab.Spec{cheapSpec()}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -275,7 +275,7 @@ func (s *Server) timeout(ms int64) time.Duration {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.count("run")
-	var req RunRequest
+	var req api.RunRequest
 	if !s.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -300,11 +300,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, runErrStatus(err), err.Error())
 		return
 	}
-	if api.AcceptsType(r, BinaryContentType) {
-		s.writeBinary(w, BinaryContentType, api.AppendRunResponse(nil, k.Key, res))
+	if api.AcceptsType(r, api.BinaryContentType) {
+		s.writeBinary(w, api.BinaryContentType, api.AppendRunResponse(nil, k.Key, res))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, RunResponse{Key: k.Key, Result: res})
+	s.writeJSON(w, http.StatusOK, api.RunResponse{Key: k.Key, Result: res})
 }
 
 // writeBinary writes a 200 with a negotiated binary body. Only success
@@ -320,7 +320,7 @@ func (s *Server) writeBinary(w http.ResponseWriter, contentType string, body []b
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.count("campaign")
-	var req CampaignRequest
+	var req api.CampaignRequest
 	if !s.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -354,12 +354,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	// change. From here every item completes (possibly with a per-item
 	// error), and the only remaining batch-level failure is the
 	// connection itself dying.
-	if api.AcceptsType(r, StreamContentType) {
+	if api.AcceptsType(r, api.StreamContentType) {
 		s.streamCampaign(w, ctx, keyed)
 		return
 	}
 
-	items := make([]CampaignItem, len(keyed))
+	items := make([]api.CampaignItem, len(keyed))
 	var wg sync.WaitGroup
 	for i, k := range keyed {
 		wg.Add(1)
@@ -375,7 +375,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		}(i, k)
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, CampaignResponse{Items: items})
+	s.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 }
 
 // streamCampaign answers a campaign with the negotiated stream wire:
@@ -384,12 +384,10 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // terminal count frame. The client reassembles request order from the
 // frame indices, so the merged response is byte-identical to the
 // buffered JSON path; what changes is latency — the first result
-// reaches the client while the slowest is still simulating, which is
-// also what lets a hedging coordinator cancel the losing replica as
-// soon as the winner's first frame lands.
+// reaches the client while the slowest is still simulating.
 func (s *Server) streamCampaign(w http.ResponseWriter, ctx context.Context, keyed []lab.Keyed) {
 	s.countResp(http.StatusOK)
-	w.Header().Set("Content-Type", StreamContentType)
+	w.Header().Set("Content-Type", api.StreamContentType)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -403,7 +401,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, ctx context.Context, keye
 		wg.Add(1)
 		go func(i int, k lab.Keyed) {
 			defer wg.Done()
-			item := CampaignItem{Key: k.Key}
+			item := api.CampaignItem{Key: k.Key}
 			res, err := s.execute(ctx, k)
 			if err != nil {
 				item.Err = err.Error()
@@ -425,7 +423,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, ctx context.Context, keye
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.count("healthz")
-	h := Health{
+	h := api.Health{
 		Status:     "ok",
 		UptimeSecs: time.Since(s.started).Seconds(),
 		Pending:    s.pending.Load(),
@@ -442,8 +440,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.count("metrics")
 	c := s.Lab.Counters()
-	m := Metrics{
-		Schema:         APISchema,
+	m := api.Metrics{
+		Schema:         api.Version,
 		UptimeSecs:     time.Since(s.started).Seconds(),
 		Draining:       s.draining.Load(),
 		Workers:        s.Workers,
@@ -454,7 +452,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		RetryAfterSecs: s.retryAfterHint(),
 		Requests:       make(map[string]uint64),
 		Responses:      make(map[string]uint64),
-		Lab: LabMetrics{
+		Lab: api.LabMetrics{
 			Fresh:    c.Fresh,
 			DiskHits: c.DiskHits,
 			MemHits:  c.MemHits,
@@ -465,7 +463,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Stalls: make(map[string]uint64),
 	}
 	if st := s.Lab.Store; st != nil && st.MaxBytes() > 0 {
-		m.Store = &StoreMetrics{
+		m.Store = &api.StoreMetrics{
 			Bytes:     st.Bytes(),
 			MaxBytes:  st.MaxBytes(),
 			Evictions: st.Evictions(),
@@ -474,7 +472,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.JournalStats != nil {
 		frames, resumed := s.JournalStats()
-		m.Journal = &JournalMetrics{Frames: frames, Resumed: resumed}
+		m.Journal = &api.JournalMetrics{Frames: frames, Resumed: resumed}
 	}
 	s.mu.Lock()
 	for k, v := range s.reqs {
@@ -497,9 +495,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, schema 
 		s.reject(w, http.StatusBadRequest, fmt.Sprintf("serve: bad request body: %v", err))
 		return false
 	}
-	if *schema != APISchema {
+	if *schema != api.Version {
 		s.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("serve: request schema %d, want %d (client/server version skew)", *schema, APISchema))
+			fmt.Sprintf("serve: request schema %d, want %d (client/server version skew)", *schema, api.Version))
 		return false
 	}
 	return true
@@ -537,7 +535,7 @@ func runErrStatus(err error) int {
 
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
 	s.logf("serve: %d %s", status, msg)
-	s.writeJSON(w, status, ErrorResponse{Error: msg})
+	s.writeJSON(w, status, api.ErrorResponse{Error: msg})
 }
 
 // rejectBusy answers an admission rejection (429 queue full, 503

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
@@ -138,7 +139,7 @@ func TestServeBackpressure(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return srv.pending.Load() == 1 })
 
-	body, _ := json.Marshal(RunRequest{Schema: APISchema, Spec: cheapSpec()})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: cheapSpec()})
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	// New work is refused with 503 (no retries: we want the raw answer).
 	spec := cheapSpec()
 	spec.Scale = 0.03
-	body, _ := json.Marshal(RunRequest{Schema: APISchema, Spec: spec})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: spec})
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +242,8 @@ func TestServeRequestTimeout(t *testing.T) {
 	_, cl := newTestServer(t, srv)
 	cl.Retries = -1
 
-	req := RunRequest{Schema: APISchema, Spec: cheapSpec(), TimeoutMs: 50}
-	var resp RunResponse
+	req := api.RunRequest{Schema: api.Version, Spec: cheapSpec(), TimeoutMs: 50}
+	var resp api.RunResponse
 	err := cl.do(context.Background(), "/v1/run", req, &resp)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusGatewayTimeout {
@@ -299,7 +300,7 @@ func TestServeCampaignRejectedWhole(t *testing.T) {
 		s.Scale = 0.01 * float64(i+1)
 		specs = append(specs, s)
 	}
-	body, _ := json.Marshal(CampaignRequest{Schema: APISchema, Specs: specs})
+	body, _ := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: specs})
 	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -329,11 +330,11 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	bad := cheapSpec()
 	bad.Bench = "nosuch"
-	body, _ := json.Marshal(RunRequest{Schema: APISchema, Spec: bad})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: bad})
 	if got := post("/v1/run", string(body)); got != http.StatusBadRequest {
 		t.Errorf("unknown bench: status %d, want 400", got)
 	}
-	body, _ = json.Marshal(RunRequest{Schema: 99, Spec: cheapSpec()})
+	body, _ = json.Marshal(api.RunRequest{Schema: 99, Spec: cheapSpec()})
 	if got := post("/v1/run", string(body)); got != http.StatusBadRequest {
 		t.Errorf("schema skew: status %d, want 400", got)
 	}

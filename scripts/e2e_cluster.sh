@@ -85,7 +85,7 @@ done
 echo "== start coordinator on :$COORD_PORT =="
 "$WORK/wishsimd" -coordinator \
   -worker "$(IFS=,; echo "${WORKER_URLS[*]}")" \
-  -addr "127.0.0.1:${COORD_PORT}" -probe-interval 500ms -hedge-after 10s \
+  -addr "127.0.0.1:${COORD_PORT}" -probe-interval 500ms \
   -drain-timeout 60s -v >"$WORK/coordinator.log" 2>&1 &
 COORD_PID=$!
 PIDS+=("$COORD_PID")
