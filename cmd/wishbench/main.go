@@ -68,7 +68,7 @@ func main() {
 	// (single daemon or coordinator — same wire) its backend is a
 	// serve.Client, otherwise it simulates locally over the result
 	// store. Rendering and snapshot export both read its memo table.
-	cliflags.Runner(l.Sched, lf, rf, "wishbench")
+	cliflags.Wire(l.Sched, lf, rf, "wishbench")
 
 	var runIDs []string
 	if *expFlag == "all" {

@@ -55,11 +55,11 @@ func main() {
 	if !ok {
 		fail("unknown benchmark %q", *bench)
 	}
-	in, err := parseInput(*input)
+	in, err := workload.ParseInput(*input)
 	if err != nil {
 		fail("%v", err)
 	}
-	v, err := parseVariant(*variant)
+	v, err := compiler.ParseVariant(*variant)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -174,34 +174,6 @@ func writeSnapshot(path string, spec lab.Spec, res *cpu.Result,
 		return err
 	}
 	return f.Close()
-}
-
-func parseInput(s string) (workload.Input, error) {
-	switch s {
-	case "A", "a":
-		return workload.InputA, nil
-	case "B", "b":
-		return workload.InputB, nil
-	case "C", "c":
-		return workload.InputC, nil
-	}
-	return 0, fmt.Errorf("unknown input %q", s)
-}
-
-func parseVariant(s string) (compiler.Variant, error) {
-	switch s {
-	case "normal":
-		return compiler.NormalBranch, nil
-	case "base-def":
-		return compiler.BaseDef, nil
-	case "base-max":
-		return compiler.BaseMax, nil
-	case "wish-jj":
-		return compiler.WishJumpJoin, nil
-	case "wish-jjl":
-		return compiler.WishJumpJoinLoop, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 func printResult(bench string, in workload.Input, v compiler.Variant, r *cpu.Result, elapsed time.Duration) {

@@ -66,7 +66,6 @@ import (
 
 	"wishbranch/internal/cliflags"
 	"wishbranch/internal/cluster"
-	"wishbranch/internal/cpu"
 	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
@@ -140,25 +139,10 @@ func run() int {
 			return 1
 		}
 		jnl = j
-		for key, res := range rep.Results {
-			sched.Seed(key, res)
-			if sched.Store != nil {
-				sched.Store.Pin(key) // journal-referenced: never evicted
-				if sched.Store.Get(key) == nil {
-					sched.Store.Put(key, res) //nolint:errcheck // memo already has it
-				}
-			}
-		}
-		sched.OnResult = func(k lab.Keyed, r *cpu.Result) {
-			if err := j.Append(k.Key, r); err != nil {
-				fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-				return
-			}
-			if sched.Store != nil {
-				sched.Store.Pin(k.Key)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, len(rep.Results))
+		resumed := journal.Attach(sched, j, rep, nil, func(err error) {
+			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
+		})
+		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, resumed)
 	}
 
 	srv := &serve.Server{
@@ -179,40 +163,9 @@ func run() int {
 		srv.Log = os.Stderr
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "wishsimd: listening on %s (%d workers, queue %d)\n", *addr, lf.Workers, *queue)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-		return 1
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "wishsimd: %v: draining (up to %v)...\n", s, *drainTimeout)
-	}
-
-	// Drain admitted work first — /healthz flips to "draining" and new
-	// simulations get 503 — then close the listener. Shutdown after
-	// Drain so health/metrics stay reachable while runs finish.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := srv.Drain(drainCtx)
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	httpSrv.Shutdown(shutCtx) //nolint:errcheck // drainErr is the verdict that matters
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "wishsimd: %v\n", drainErr)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "wishsimd: drained cleanly: %s\n", sched.Summary())
-	return 0
+	return serveUntilSignal(*addr, srv.Handler(),
+		fmt.Sprintf("listening on %s (%d workers, queue %d)", *addr, lf.Workers, *queue),
+		*drainTimeout, srv.Drain, sched.Summary)
 }
 
 type coordinatorConfig struct {
@@ -273,15 +226,27 @@ func runCoordinator(cfg coordinatorConfig) int {
 	reg.Start()
 	defer reg.Stop()
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: co.Handler()}
+	return serveUntilSignal(cfg.addr, co.Handler(),
+		fmt.Sprintf("coordinating %d workers on %s (probe every %v)", len(urls), cfg.addr, cfg.probeInterval),
+		cfg.drainTimeout, co.Drain, func() string { return "coordinator" })
+}
+
+// serveUntilSignal serves h on addr until SIGTERM or SIGINT, logging
+// listening once the listener starts, and then follows the drain
+// contract both modes share: drain admitted work (bounded by
+// drainTimeout) and close the listener. summary names what drained
+// cleanly. It returns the exit code: 1 for a listen failure or a
+// missed drain deadline, 0 for a clean drain.
+func serveUntilSignal(addr string, h http.Handler, listening string, drainTimeout time.Duration,
+	drain func(context.Context) error, summary func() string) int {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "wishsimd: coordinating %d workers on %s (probe every %v)\n",
-		len(urls), cfg.addr, cfg.probeInterval)
+	fmt.Fprintf(os.Stderr, "wishsimd: %s\n", listening)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -290,12 +255,15 @@ func runCoordinator(cfg coordinatorConfig) int {
 		fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
 		return 1
 	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "wishsimd: %v: draining (up to %v)...\n", s, cfg.drainTimeout)
+		fmt.Fprintf(os.Stderr, "wishsimd: %v: draining (up to %v)...\n", s, drainTimeout)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	// Drain admitted work first — /healthz flips to "draining" and new
+	// simulations get 503 — then close the listener. Shutdown after
+	// Drain so health/metrics stay reachable while runs finish.
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	drainErr := co.Drain(drainCtx)
+	drainErr := drain(drainCtx)
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	httpSrv.Shutdown(shutCtx) //nolint:errcheck // drainErr is the verdict that matters
@@ -303,6 +271,6 @@ func runCoordinator(cfg coordinatorConfig) int {
 		fmt.Fprintf(os.Stderr, "wishsimd: %v\n", drainErr)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "wishsimd: drained cleanly: coordinator")
+	fmt.Fprintf(os.Stderr, "wishsimd: drained cleanly: %s\n", summary())
 	return 0
 }

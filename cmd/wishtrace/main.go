@@ -77,31 +77,13 @@ func main() {
 	if !ok {
 		fail("unknown benchmark %q", *bench)
 	}
-	var in workload.Input
-	switch *input {
-	case "A", "a":
-		in = workload.InputA
-	case "B", "b":
-		in = workload.InputB
-	case "C", "c":
-		in = workload.InputC
-	default:
-		fail("unknown input %q", *input)
+	in, err := workload.ParseInput(*input)
+	if err != nil {
+		fail("%v", err)
 	}
-	var v compiler.Variant
-	switch *variant {
-	case "normal":
-		v = compiler.NormalBranch
-	case "base-def":
-		v = compiler.BaseDef
-	case "base-max":
-		v = compiler.BaseMax
-	case "wish-jj":
-		v = compiler.WishJumpJoin
-	case "wish-jjl":
-		v = compiler.WishJumpJoinLoop
-	default:
-		fail("unknown variant %q", *variant)
+	v, err := compiler.ParseVariant(*variant)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	src, mem := b.Build(in, *scale)

@@ -30,9 +30,7 @@ import (
 	"strings"
 	"time"
 
-	"wishbranch/internal/api"
 	"wishbranch/internal/cliflags"
-	"wishbranch/internal/cpu"
 	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/tune"
@@ -64,15 +62,12 @@ func run() int {
 	defer stopProfiles()
 
 	// Mode wiring (store in local mode, HTTP backend in -server mode)
-	// comes from the shared flag groups, but the tuner always drives
-	// the local scheduler: the journal hook and the resume seeding
-	// below must observe every result, and they live on the lab. In
-	// remote mode each simulation still runs on the server — the
-	// client is the lab's backend — the batching just happens at the
-	// scheduler layer instead of the HTTP layer.
+	// comes from the shared flag groups. The tuner drives the local
+	// scheduler either way, so the journal hook and the resume seeding
+	// below observe every result; in remote mode each simulation runs
+	// on the server, because the client is the lab's backend.
 	sched := lab.New()
-	cliflags.Runner(sched, lf, rf, "wishtune")
-	runner := api.LabRunner{Lab: sched}
+	cliflags.Wire(sched, lf, rf, "wishtune")
 
 	// Crash-safe resume. Unlike wishbench, the tuner's key set is
 	// adaptive — pruning decides later specs from earlier results — so
@@ -89,22 +84,14 @@ func run() int {
 			return 1
 		}
 		defer j.Close()
-		resumed := 0
-		for key, r := range rep.Results {
-			if sched.Seed(key, r) {
-				resumed++
-			}
-		}
-		sched.OnResult = func(k lab.Keyed, r *cpu.Result) {
-			if err := j.Append(k.Key, r); err != nil {
-				fmt.Fprintf(os.Stderr, "wishtune: %v (search continues, not resumable past this point)\n", err)
-			}
-		}
+		resumed := journal.Attach(sched, j, rep, nil, func(err error) {
+			fmt.Fprintf(os.Stderr, "wishtune: %v (search continues, not resumable past this point)\n", err)
+		})
 		fmt.Fprintf(os.Stderr, "wishtune: journal %s: resumed_frames=%d\n", jpath, resumed)
 	}
 
 	o := tune.Options{
-		Runner:     runner,
+		Lab:        sched,
 		Input:      workload.InputA,
 		Seed:       *seed,
 		Candidates: *candidates,

@@ -3,14 +3,9 @@
 // single-node daemon (internal/serve), the sharded coordinator
 // (internal/cluster), and the retrying client (serve.Client) — lives
 // here exactly once, versioned by one explicit schema constant, so a
-// wire change is a change to this package and nothing else.
-//
-// The package also defines the Runner interface: the one execution
-// contract shared by the in-process scheduler (LabRunner over
-// lab.Lab), the remote client (serve.Client), and the cluster
-// coordinator (cluster.Coordinator). Campaign drivers — wishbench,
-// wishtune, the conformance harness — target Runner and stop caring
-// where simulations physically execute.
+// wire change is a change to this package and nothing else. It holds
+// wire types and their codecs only: every driver runs specs through a
+// lab.Lab, whose Backend is the seam for remote execution.
 package api
 
 import (

@@ -105,6 +105,24 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // nothing to do about a dead client
 }
 
+// MaxRequestBytes bounds every request body a server decodes.
+const MaxRequestBytes = 8 << 20
+
+// DecodeRequest reads at most MaxRequestBytes of r's JSON body into
+// dst and checks the wire schema the body carried, which decoding
+// stored through schema (&req.Schema). A non-nil error is the reason
+// for a 400; each server prefixes it with its own name.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, dst any, schema *int) error {
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+	if err := json.NewDecoder(body).Decode(dst); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if *schema != Version {
+		return fmt.Errorf("request schema %d, want %d (client/server version skew)", *schema, Version)
+	}
+	return nil
+}
+
 // AppendRunResponse serializes a binary RunResponse.
 func AppendRunResponse(dst []byte, key string, r *cpu.Result) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))

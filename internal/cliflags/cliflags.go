@@ -15,10 +15,9 @@
 //   - Profile: -cpuprofile, -memprofile — pprof capture with the
 //     start/stop boilerplate owned here.
 //
-// Runner wires a Lab+Remote selection into a lab.Lab and returns the
-// api.Runner those flags chose: a serve.Client when -server is set
-// (also installed as the lab's Backend so spec-at-a-time paths go
-// remote too), an api.LabRunner over the local scheduler otherwise.
+// Wire applies a Lab+Remote selection to the lab.Lab every campaign
+// CLI runs its specs through: a serve.Client installed as the lab's
+// Backend when -server is set, the -cache-dir store otherwise.
 // The -journal flag is registered here but consumed by each command —
 // journal semantics (campaign checkpoint vs. daemon write-ahead log)
 // are the command's business, the flag's existence is not.
@@ -31,7 +30,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"wishbranch/internal/api"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -57,7 +55,7 @@ func RegisterLab(fs *flag.FlagSet) *Lab {
 }
 
 // Apply copies the scheduler-shaped selections onto sched: worker
-// budget and verbose logging. Store and backend wiring live in Runner
+// budget and verbose logging. Store and backend wiring live in Wire
 // (or OpenStore for daemons that manage the store themselves).
 func (lf *Lab) Apply(sched *lab.Lab) {
 	sched.Workers = lf.Workers
@@ -94,20 +92,17 @@ func RegisterRemote(fs *flag.FlagSet) *Remote {
 	return &rf
 }
 
-// Runner wires the flag selections into sched and returns the
-// api.Runner they select.
+// Wire applies the flag selections to sched.
 //
 // Remote mode (-server set): every simulation becomes an HTTP call to
-// a wishsimd daemon (or coordinator). The daemon owns the memoization
-// and the persistent store, so the local store stays off — otherwise a
-// warm local cache would hide the server from this process and defeat
-// the point of sharing it. The client is also installed as sched's
-// Backend, so code that runs specs through the lab one at a time goes
-// remote too.
+// a wishsimd daemon (or coordinator), because the client is installed
+// as sched's Backend. The daemon owns the memoization and the
+// persistent store, so the local store stays off — otherwise a warm
+// local cache would hide the server from this process and defeat the
+// point of sharing it.
 //
-// Local mode: the -cache-dir store (when it opens) backs sched, and
-// the returned runner is an api.LabRunner over it.
-func Runner(sched *lab.Lab, lf *Lab, rf *Remote, prefix string) api.Runner {
+// Local mode: the -cache-dir store (when it opens) backs sched.
+func Wire(sched *lab.Lab, lf *Lab, rf *Remote, prefix string) {
 	lf.Apply(sched)
 	if rf != nil && rf.Server != "" {
 		cl := &serve.Client{Base: rf.Server}
@@ -116,12 +111,9 @@ func Runner(sched *lab.Lab, lf *Lab, rf *Remote, prefix string) api.Runner {
 		}
 		sched.Backend = cl.Run
 		fmt.Fprintf(os.Stderr, "%s: simulating remotely on %s\n", prefix, rf.Server)
-		return cl
+		return
 	}
-	if store := lf.OpenStore(prefix); store != nil {
-		sched.Store = store
-	}
-	return api.LabRunner{Lab: sched}
+	sched.Store = lf.OpenStore(prefix)
 }
 
 // Profile holds the pprof flag values.

@@ -31,7 +31,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,14 +50,10 @@ import (
 
 // Defaults for Coordinator knobs left zero.
 const (
-	DefaultRetries      = 3
-	DefaultBackoff      = 50 * time.Millisecond
-	DefaultMaxBackoff   = 2 * time.Second
-	maxRequestBodyBytes = 8 << 20
+	DefaultRetries    = 3
+	DefaultBackoff    = 50 * time.Millisecond
+	DefaultMaxBackoff = 2 * time.Second
 )
-
-// Coordinator implements api.Runner; see Run and Campaign.
-var _ api.Runner = (*Coordinator)(nil)
 
 // Coordinator fronts a cluster of wishsimd workers behind the
 // single-node wire API. Configure the exported fields before the first
@@ -230,7 +225,8 @@ func (co *Coordinator) timeout(ms int64) time.Duration {
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	co.count("run")
 	var req api.RunRequest
-	if !co.decode(w, r, &req, &req.Schema) {
+	if err := api.DecodeRequest(w, r, &req, &req.Schema); err != nil {
+		co.reject(w, http.StatusBadRequest, "cluster: "+err.Error())
 		return
 	}
 	if err := req.Spec.Validate(); err != nil {
@@ -246,7 +242,7 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), co.timeout(req.TimeoutMs))
 	defer cancel()
 
-	res, err := co.Run(ctx, req.Spec)
+	res, err := co.run(ctx, req.Spec)
 	if err != nil {
 		co.rejectErr(w, err)
 		return
@@ -254,15 +250,9 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	co.writeJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
 }
 
-// Run executes one spec through the cluster: checkpoint first, then
+// run executes one spec through the cluster: checkpoint first, then
 // routed to the spec's home worker with the usual retry ladder.
-// Together with Campaign it makes the coordinator the third api.Runner
-// execution path (next to api.LabRunner and serve.Client), so a driver
-// embedding a coordinator in-process needs no HTTP hop. Drain
-// accounting applies to HTTP requests only; direct callers own their
-// own lifecycle.
-func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
-	co.init()
+func (co *Coordinator) run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
 	k := spec.Keyed()
 	if res := co.checkpointGet(k.Key); res != nil {
 		co.ckptHits.Add(1)
@@ -286,7 +276,8 @@ func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, err
 func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	co.count("campaign")
 	var req api.CampaignRequest
-	if !co.decode(w, r, &req, &req.Schema) {
+	if err := api.DecodeRequest(w, r, &req, &req.Schema); err != nil {
+		co.reject(w, http.StatusBadRequest, "cluster: "+err.Error())
 		return
 	}
 	if len(req.Specs) == 0 {
@@ -308,7 +299,7 @@ func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), co.timeout(req.TimeoutMs))
 	defer cancel()
 
-	items, err := co.Campaign(ctx, req.Specs)
+	items, err := co.campaign(ctx, req.Specs)
 	if err != nil {
 		co.rejectErr(w, err)
 		return
@@ -316,7 +307,7 @@ func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	co.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 }
 
-// Campaign splits the batch into per-worker shards by each spec's home
+// campaign splits the batch into per-worker shards by each spec's home
 // on the ring, dispatches the shards concurrently (each with its own
 // retry ladder), and merges the answers back into request order.
 // The merge is positional — shard results carry their original
@@ -329,11 +320,7 @@ func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // whole batch with 429 and the maximum Retry-After across shards,
 // because the batch-admitted-whole contract means "come back later",
 // not "here is half your campaign".
-//
-// Campaign is the batch half of the coordinator's api.Runner
-// implementation and may be called directly, without the HTTP wire.
-func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.CampaignItem, error) {
-	co.init()
+func (co *Coordinator) campaign(ctx context.Context, specs []lab.Spec) ([]api.CampaignItem, error) {
 	items := make([]api.CampaignItem, len(specs))
 	keyed := make([]lab.Keyed, len(specs))
 	for i := range specs {
@@ -497,23 +484,6 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.writeJSON(w, http.StatusOK, m)
 }
 
-// decode reads a JSON request body and checks the wire schema — the
-// same contract as a single worker, because version skew between a
-// client and the cluster is as fatal as against one node.
-func (co *Coordinator) decode(w http.ResponseWriter, r *http.Request, dst any, schema *int) bool {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		co.reject(w, http.StatusBadRequest, fmt.Sprintf("cluster: bad request body: %v", err))
-		return false
-	}
-	if *schema != api.Version {
-		co.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("cluster: request schema %d, want %d (client/coordinator version skew)", *schema, api.Version))
-		return false
-	}
-	return true
-}
-
 // rejectErr maps a routing failure to the status the wire API
 // promises: worker-reported statuses pass through (with Retry-After
 // re-attached to 429/503), an empty ring is 503 with a Retry-After of
@@ -553,7 +523,7 @@ func (co *Coordinator) reject(w http.ResponseWriter, status int, msg string) {
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
 	co.countResp(status)
-	serve.WriteJSON(w, status, v)
+	api.WriteJSON(w, status, v)
 }
 
 func (co *Coordinator) count(endpoint string) {

@@ -257,7 +257,7 @@ func TestCluster429Propagation(t *testing.T) {
 	busy := func(retryAfter int) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			serve.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "queue full"})
+			api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "queue full"})
 		}))
 		t.Cleanup(ts.Close)
 		return ts
@@ -393,7 +393,7 @@ func TestClusterBadRequests(t *testing.T) {
 	var hits int
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits++
-		serve.WriteJSON(w, http.StatusOK, api.ErrorResponse{})
+		api.WriteJSON(w, http.StatusOK, api.ErrorResponse{})
 	}))
 	t.Cleanup(stub.Close)
 	_, _, ts := startCluster(t, []string{stub.URL}, nil)

@@ -64,7 +64,7 @@ func TestCampaignHostileWorkerJSON(t *testing.T) {
 		{
 			name: "wrong-item-count",
 			handler: func(w http.ResponseWriter, r *http.Request) {
-				serve.WriteJSON(w, http.StatusOK, api.CampaignResponse{
+				api.WriteJSON(w, http.StatusOK, api.CampaignResponse{
 					Items: []api.CampaignItem{{Key: "only-one"}},
 				})
 			},
@@ -79,7 +79,7 @@ func TestCampaignHostileWorkerJSON(t *testing.T) {
 				for i := range items {
 					items[i].Key = "imposter"
 				}
-				serve.WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
+				api.WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 			},
 			wantErr: "wire-format skew",
 		},

@@ -11,7 +11,8 @@ import (
 	"wishbranch/internal/serve"
 )
 
-// Defaults for Registry knobs left zero.
+// Probe timing: the cadence when Registry.ProbeInterval is zero, and
+// the bound on one probe round.
 const (
 	DefaultProbeInterval = 2 * time.Second
 	DefaultProbeTimeout  = 2 * time.Second
@@ -48,8 +49,6 @@ type Registry struct {
 	// ProbeInterval is the health-probe cadence once Start has been
 	// called (0 means DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round (0 means DefaultProbeTimeout).
-	ProbeTimeout time.Duration
 	// Replicas is the virtual-node count per worker on the ring
 	// (0 means DefaultReplicas).
 	Replicas int
@@ -179,7 +178,7 @@ func (r *Registry) Stop() {
 // worker finishing its last runs before exit must stop receiving new
 // shards, exactly like a crashed one.
 func (r *Registry) ProbeOnce(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, r.probeTimeout())
+	ctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, w := range r.workers {
@@ -202,13 +201,6 @@ func (r *Registry) probeInterval() time.Duration {
 		return r.ProbeInterval
 	}
 	return DefaultProbeInterval
-}
-
-func (r *Registry) probeTimeout() time.Duration {
-	if r.ProbeTimeout > 0 {
-		return r.ProbeTimeout
-	}
-	return DefaultProbeTimeout
 }
 
 func (r *Registry) logf(format string, args ...any) {

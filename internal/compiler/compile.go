@@ -54,19 +54,6 @@ func MustCompile(src *Source, v Variant) *prog.Program {
 	return p
 }
 
-// CompileAll returns all five Table 3 binaries keyed by variant.
-func CompileAll(src *Source) (map[Variant]*prog.Program, error) {
-	out := make(map[Variant]*prog.Program, NumVariants)
-	for _, v := range Variants() {
-		p, err := Compile(src, v)
-		if err != nil {
-			return nil, err
-		}
-		out[v] = p
-	}
-	return out, nil
-}
-
 type compileError string
 
 func fail(format string, args ...interface{}) {

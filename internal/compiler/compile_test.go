@@ -328,3 +328,33 @@ func TestSmallLoopBecomesWishLoop(t *testing.T) {
 	// Equivalence across all variants too.
 	checkEquivalent(t, src, nil, 4, 1)
 }
+
+// TestParseVariant pins ParseVariant as the inverse of Variant.String
+// for every binary, and its refusal of an unknown name.
+func TestParseVariant(t *testing.T) {
+	cases := []struct {
+		name string
+		want Variant
+	}{
+		{"normal", NormalBranch},
+		{"base-def", BaseDef},
+		{"base-max", BaseMax},
+		{"wish-jj", WishJumpJoin},
+		{"wish-jjl", WishJumpJoinLoop},
+	}
+	if len(cases) != int(NumVariants) {
+		t.Fatalf("table covers %d variants, want all %d", len(cases), NumVariants)
+	}
+	for _, tc := range cases {
+		got, err := ParseVariant(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+		if got.String() != tc.name {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.name)
+		}
+	}
+	if _, err := ParseVariant("wish-all"); err == nil {
+		t.Error("ParseVariant accepted an unknown variant")
+	}
+}

@@ -55,6 +55,17 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant%d", int(v))
 }
 
+// ParseVariant is the inverse of Variant.String: it maps a binary's
+// name (normal, base-def, base-max, wish-jj, wish-jjl) to its Variant.
+func ParseVariant(s string) (Variant, error) {
+	for _, v := range Variants() {
+		if v.String() == s {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", s)
+}
+
 // Variants lists all five binaries in Table 3 order.
 func Variants() []Variant {
 	return []Variant{NormalBranch, BaseDef, BaseMax, WishJumpJoin, WishJumpJoinLoop}

@@ -31,7 +31,7 @@ func avgJJL(l *Lab, m *config.Machine) (avg, avgNoMcf float64, err error) {
 			nomcf = append(nomcf, n)
 		}
 	}
-	return mean(all), mean(nomcf), nil
+	return stats.Mean(all), stats.Mean(nomcf), nil
 }
 
 // ExtLoopPredictor evaluates the §3.2/§7 suggestion: a trip-count loop

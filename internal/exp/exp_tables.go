@@ -227,7 +227,7 @@ func Table5(l *Lab, w io.Writer) error {
 		t.AddRow(bench, stats.Pct(redN), stats.Pct(redP)+" ("+bestPredName+")",
 			stats.Pct(redB), bestName)
 	}
-	t.AddRow("AVG", stats.Pct(mean(vsN)), stats.Pct(mean(vsP)), stats.Pct(mean(vsB)), "")
+	t.AddRow("AVG", stats.Pct(stats.Mean(vsN)), stats.Pct(stats.Mean(vsP)), stats.Pct(stats.Mean(vsB)), "")
 	t.Fprint(w)
 	return nil
 }

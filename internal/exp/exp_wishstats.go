@@ -119,7 +119,7 @@ func sweep(l *Lab, w io.Writer, dim string, points []int,
 					}
 					vals = append(vals, n)
 				}
-				row = append(row, stats.F(mean(vals)))
+				row = append(row, stats.F(stats.Mean(vals)))
 			}
 			t.AddRow(row...)
 		}

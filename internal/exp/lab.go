@@ -14,22 +14,21 @@ import (
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
+	"wishbranch/internal/stats"
 	"wishbranch/internal/workload"
 )
 
 // Lab adapts the campaign scheduler to the experiments: it pins the
-// cross-cutting simulation parameters (scale, compiler thresholds,
-// cycle bound) that every run of a campaign shares, and builds full
-// lab.Specs from the (bench, input, variant, machine) tuples the
-// experiment code deals in.
+// cross-cutting simulation parameters (scale, compiler thresholds)
+// that every run of a campaign shares, and builds full lab.Specs from
+// the (bench, input, variant, machine) tuples the experiment code
+// deals in.
 type Lab struct {
 	// Scale is the workload size multiplier for every run.
 	Scale float64
 	// Thresholds are the compiler's §4.2.2 conversion thresholds
 	// (swept by ext-thresholds).
 	Thresholds compiler.Thresholds
-	// MaxCycles bounds each simulation (0 = no practical limit).
-	MaxCycles uint64
 	// Sched executes and caches the runs; configure Sched.Workers,
 	// Sched.Store, and Sched.Log for parallelism, persistence, and
 	// progress reporting.
@@ -62,7 +61,6 @@ func (l *Lab) Spec(bench string, in workload.Input, v compiler.Variant, m *confi
 		Machine:    m,
 		Scale:      l.Scale,
 		Thresholds: thr,
-		MaxCycles:  l.MaxCycles,
 	}
 }
 
@@ -118,22 +116,11 @@ func avgRows(perBench map[string][]float64, cols int, add func(label string, val
 	avg := make([]float64, cols)
 	avgN := make([]float64, cols)
 	for i := 0; i < cols; i++ {
-		avg[i] = mean(all[i])
-		avgN[i] = mean(nomcf[i])
+		avg[i] = stats.Mean(all[i])
+		avgN[i] = stats.Mean(nomcf[i])
 	}
 	add("AVG", avg)
 	add("AVGnomcf", avgN)
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Experiment is one reproducible table or figure.

@@ -227,11 +227,7 @@ func runChaosCampaign(ctx context.Context, specs []lab.Spec, chaos []ChaosEvent)
 	coord := httptest.NewServer(co.Handler())
 	defer coord.Close()
 
-	// The campaign goes through the api.Runner contract — the same
-	// interface wishbench and wishtune target — so the oracle checks
-	// the path real drivers use, not a private test entry point.
-	var runner api.Runner = &serve.Client{Base: coord.URL, Retries: -1}
-	return runner.Campaign(ctx, specs)
+	return (&serve.Client{Base: coord.URL, Retries: -1}).Campaign(ctx, specs)
 }
 
 // killAfter wraps a worker handler so its nth admitted API request —

@@ -190,3 +190,56 @@ func TestSeededEntriesDoNotRefire(t *testing.T) {
 		t.Errorf("warm resume appended %d new frames", frames-resumed)
 	}
 }
+
+// TestAttachNilKeysSeedsAllAndPins covers the journals whose key set is
+// open-ended (the tuner's, a daemon's): with nil keys Attach seeds
+// every replayed result, and with a store it writes back replayed
+// records the store lacks and pins every journaled key, replayed or
+// new, against GC eviction.
+func TestAttachNilKeysSeedsAllAndPins(t *testing.T) {
+	specs, keys, backend, calls := synthCampaign(4)
+	path := filepath.Join(t.TempDir(), "j.wbj")
+
+	// A first process, without a store, journals three of the four.
+	j, rep, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lab.New()
+	l.Backend = backend
+	Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) })
+	l.Warm(specs[:3])
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Its restart, over an empty store, runs the whole campaign.
+	store, err := lab.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, rep, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	l = lab.New()
+	l.Backend = backend
+	l.Store = store
+	if resumed := Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) }); resumed != 3 {
+		t.Errorf("resumed %d results, want 3", resumed)
+	}
+	for _, k := range keys[:3] {
+		if store.Get(k) == nil {
+			t.Errorf("replayed %s was not written back to the store", k)
+		}
+	}
+	calls.Store(0)
+	l.Warm(specs)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("%d backend calls after resume, want 1", got)
+	}
+	if got := store.Pinned(); got != len(keys) {
+		t.Errorf("store pins %d keys, want all %d journaled keys", got, len(keys))
+	}
+}

@@ -29,11 +29,13 @@ type Lab struct {
 	Log io.Writer
 	// Backend, when non-nil, replaces local simulation: a fresh result
 	// (memo miss, store miss) is acquired by calling it instead of
-	// Spec.SimulateContext. This is how wishbench runs campaigns
-	// against a remote wishsimd (serve.Client.Run has exactly this
-	// signature). Store and memo behaviour are unchanged — backend
-	// results are persisted like local ones, so a remote campaign
-	// still warms the local store.
+	// Spec.SimulateContext. This is the one seam for remote execution:
+	// under -server, cliflags.Wire installs serve.Client.Run, which has
+	// exactly this signature, so wishbench and wishtune run against a
+	// wishsimd daemon or cluster coordinator through the same lab.
+	// Store and memo behaviour are unchanged — backend results are
+	// persisted like local ones, so a remote campaign still warms the
+	// local store.
 	Backend func(context.Context, Spec) (*cpu.Result, error)
 	// OnResult, when non-nil, observes every result this process
 	// acquires — fresh simulation, store hit, or backend call — exactly

@@ -46,15 +46,6 @@ func Parse(src string) (*Program, error) {
 	return b.Finish()
 }
 
-// MustParse is Parse but panics on error (tests and examples).
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func stripComment(line string) string {
 	for _, c := range []string{";", "#", "//"} {
 		if i := strings.Index(line, c); i >= 0 {

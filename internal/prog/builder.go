@@ -73,9 +73,6 @@ func (b *Builder) CallL(label string) {
 	b.code = append(b.code, isa.Call(-1))
 }
 
-// Pos returns the index the next emitted instruction will have.
-func (b *Builder) Pos() int { return len(b.code) }
-
 // Finish resolves labels and returns the program.
 func (b *Builder) Finish() (*Program, error) {
 	for _, f := range b.fixups {

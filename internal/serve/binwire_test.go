@@ -130,7 +130,7 @@ func TestClientFallsBackToJSONServer(t *testing.T) {
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var req api.RunRequest
 		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
-		WriteJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
+		api.WriteJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
 	})
 	mux.HandleFunc("POST /v1/campaign", func(w http.ResponseWriter, r *http.Request) {
 		var req api.CampaignRequest
@@ -139,7 +139,7 @@ func TestClientFallsBackToJSONServer(t *testing.T) {
 		for i := range req.Specs {
 			items[i] = api.CampaignItem{Key: req.Specs[i].Key(), Result: res}
 		}
-		WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
+		api.WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

@@ -29,10 +29,6 @@ import (
 //	cl := &serve.Client{Base: "http://sim-host:8081"}
 //	sched.Backend = cl.Run
 //
-// Client implements api.Runner (Run and Campaign), so a remote server
-// is interchangeable with an in-process api.LabRunner or a cluster
-// coordinator wherever that contract is asked for.
-//
 // Client is safe for concurrent use.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://localhost:8081".
@@ -61,10 +57,6 @@ type Client struct {
 
 // DefaultRetries is the retry budget when Client.Retries is zero.
 const DefaultRetries = 4
-
-// Client is one of the three api.Runner execution paths (the remote
-// one).
-var _ api.Runner = (*Client)(nil)
 
 func (c *Client) init() {
 	c.once.Do(func() {

@@ -33,7 +33,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -52,11 +51,10 @@ import (
 
 // Defaults for Server knobs left zero.
 const (
-	DefaultQueueDepth   = 256
-	DefaultMaxTimeout   = 10 * time.Minute
-	defaultRetryAfter   = 1  // seconds, the hint when no latency has been observed yet
-	maxRetryAfter       = 60 // seconds, ceiling of the queue-drain estimate
-	maxRequestBodyBytes = 8 << 20
+	DefaultQueueDepth = 256
+	DefaultMaxTimeout = 10 * time.Minute
+	defaultRetryAfter = 1  // seconds, the hint when no latency has been observed yet
+	maxRetryAfter     = 60 // seconds, ceiling of the queue-drain estimate
 	// latencyWindow is how many recent run latencies feed the
 	// Retry-After estimator.
 	latencyWindow = 32
@@ -276,7 +274,8 @@ func (s *Server) timeout(ms int64) time.Duration {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.count("run")
 	var req api.RunRequest
-	if !s.decode(w, r, &req, &req.Schema) {
+	if err := api.DecodeRequest(w, r, &req, &req.Schema); err != nil {
+		s.reject(w, http.StatusBadRequest, "serve: "+err.Error())
 		return
 	}
 	if err := req.Spec.Validate(); err != nil {
@@ -321,7 +320,8 @@ func (s *Server) writeBinary(w http.ResponseWriter, contentType string, body []b
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.count("campaign")
 	var req api.CampaignRequest
-	if !s.decode(w, r, &req, &req.Schema) {
+	if err := api.DecodeRequest(w, r, &req, &req.Schema); err != nil {
+		s.reject(w, http.StatusBadRequest, "serve: "+err.Error())
 		return
 	}
 	if len(req.Specs) == 0 {
@@ -360,22 +360,31 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	items := make([]api.CampaignItem, len(keyed))
+	s.fanOut(ctx, keyed, func(i int, item *api.CampaignItem) { items[i] = *item })
+	s.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
+}
+
+// fanOut executes every item of a campaign concurrently (the worker
+// slots bound how many simulate at once) and hands each finished item
+// to emit with its request index, in completion order. emit runs on
+// the item's goroutine.
+func (s *Server) fanOut(ctx context.Context, keyed []lab.Keyed, emit func(i int, item *api.CampaignItem)) {
 	var wg sync.WaitGroup
 	for i, k := range keyed {
 		wg.Add(1)
-		go func(i int, k lab.Keyed) {
+		go func() {
 			defer wg.Done()
-			items[i].Key = k.Key
+			item := api.CampaignItem{Key: k.Key}
 			res, err := s.execute(ctx, k)
 			if err != nil {
-				items[i].Err = err.Error()
-				return
+				item.Err = err.Error()
+			} else {
+				item.Result = res
 			}
-			items[i].Result = res
-		}(i, k)
+			emit(i, &item)
+		}()
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 }
 
 // streamCampaign answers a campaign with the negotiated stream wire:
@@ -396,28 +405,15 @@ func (s *Server) streamCampaign(w http.ResponseWriter, ctx context.Context, keye
 		wmu sync.Mutex // serializes frame writes; frames are atomic on the wire
 		buf []byte     // frame scratch, reused across items under wmu
 	)
-	var wg sync.WaitGroup
-	for i, k := range keyed {
-		wg.Add(1)
-		go func(i int, k lab.Keyed) {
-			defer wg.Done()
-			item := api.CampaignItem{Key: k.Key}
-			res, err := s.execute(ctx, k)
-			if err != nil {
-				item.Err = err.Error()
-			} else {
-				item.Result = res
-			}
-			wmu.Lock()
-			buf = api.AppendStreamItemFrame(buf[:0], i, &item)
-			w.Write(buf) //nolint:errcheck // a dead client surfaces as stream-cut on its side
-			if flusher != nil {
-				flusher.Flush()
-			}
-			wmu.Unlock()
-		}(i, k)
-	}
-	wg.Wait()
+	s.fanOut(ctx, keyed, func(i int, item *api.CampaignItem) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		buf = api.AppendStreamItemFrame(buf[:0], i, item)
+		w.Write(buf) //nolint:errcheck // a dead client surfaces as stream-cut on its side
+		if flusher != nil {
+			flusher.Flush()
+		}
+	})
 	w.Write(api.AppendStreamEndFrame(nil, len(keyed))) //nolint:errcheck // see above
 }
 
@@ -488,21 +484,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, m)
 }
 
-// decode reads a JSON request body and checks the wire schema.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, schema *int) bool {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		s.reject(w, http.StatusBadRequest, fmt.Sprintf("serve: bad request body: %v", err))
-		return false
-	}
-	if *schema != api.Version {
-		s.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("serve: request schema %d, want %d (client/server version skew)", *schema, api.Version))
-		return false
-	}
-	return true
-}
-
 // injectFault applies the configured fault if this admission is the
 // chosen one. It reports whether the request should proceed.
 func (s *Server) injectFault(w http.ResponseWriter) bool {
@@ -559,15 +540,9 @@ func (s *Server) rejectBusy(w http.ResponseWriter, status int) {
 	s.reject(w, status, msg)
 }
 
-// WriteJSON writes v with the wire API's promised headers; it is
-// api.WriteJSON, kept here for the existing serve-facing call sites.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	api.WriteJSON(w, status, v)
-}
-
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.countResp(status)
-	WriteJSON(w, status, v)
+	api.WriteJSON(w, status, v)
 }
 
 func (s *Server) count(endpoint string) {

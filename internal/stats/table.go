@@ -1,6 +1,6 @@
 // Package stats provides the small reporting toolkit the experiment
-// harness uses: aligned text tables, ASCII bar charts for the paper's
-// normalized-execution-time figures, and mean helpers.
+// harness uses: aligned text tables, number formatters, and the mean
+// helper.
 package stats
 
 import (
@@ -87,68 +87,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Chart renders grouped horizontal bars, one group per label — the
-// textual stand-in for the paper's bar figures.
-type Chart struct {
-	Title  string
-	Series []string
-	groups []chartGroup
-	// MaxBar is the bar width in characters for the largest value.
-	MaxBar int
-}
-
-type chartGroup struct {
-	label  string
-	values []float64
-}
-
-// NewChart creates a chart whose groups each hold one value per series.
-func NewChart(title string, series ...string) *Chart {
-	return &Chart{Title: title, Series: series, MaxBar: 50}
-}
-
-// AddGroup appends a labeled group of values (one per series).
-func (c *Chart) AddGroup(label string, values ...float64) {
-	c.groups = append(c.groups, chartGroup{label, values})
-}
-
-// Fprint renders the chart.
-func (c *Chart) Fprint(w io.Writer) {
-	if c.Title != "" {
-		fmt.Fprintf(w, "%s\n", c.Title)
-	}
-	maxV := 0.0
-	labW, serW := 0, 0
-	for _, g := range c.groups {
-		if len(g.label) > labW {
-			labW = len(g.label)
-		}
-		for _, v := range g.values {
-			if v > maxV {
-				maxV = v
-			}
-		}
-	}
-	for _, s := range c.Series {
-		if len(s) > serW {
-			serW = len(s)
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for _, g := range c.groups {
-		fmt.Fprintf(w, "%s\n", g.label)
-		for i, v := range g.values {
-			name := ""
-			if i < len(c.Series) {
-				name = c.Series[i]
-			}
-			n := int(v / maxV * float64(c.MaxBar))
-			fmt.Fprintf(w, "  %-*s %-*s %s %.3f\n", labW, "", serW, name,
-				strings.Repeat("#", n), v)
-		}
-	}
 }

@@ -53,29 +53,3 @@ func TestMean(t *testing.T) {
 		t.Errorf("Mean = %v", got)
 	}
 }
-
-func TestChartRendering(t *testing.T) {
-	c := NewChart("chart", "a", "b")
-	c.AddGroup("g1", 1.0, 0.5)
-	c.AddGroup("g2", 2.0, 0.0)
-	var buf bytes.Buffer
-	c.Fprint(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "g1") || !strings.Contains(out, "g2") {
-		t.Errorf("missing groups:\n%s", out)
-	}
-	// Largest value gets the longest bar.
-	maxBars := 0
-	for _, l := range strings.Split(out, "\n") {
-		n := strings.Count(l, "#")
-		if n > maxBars {
-			maxBars = n
-		}
-		if strings.Contains(l, "2.000") && n != c.MaxBar {
-			t.Errorf("max value bar has %d chars, want %d", n, c.MaxBar)
-		}
-	}
-	if maxBars != c.MaxBar {
-		t.Errorf("no full-length bar rendered")
-	}
-}

@@ -13,10 +13,11 @@
 // workload scale, the worse half pruned, and the survivors re-run at
 // a doubled scale until one winner remains per bench; a bounded
 // hill-climb then walks the winner ±1 grid step per axis at full
-// scale. Every evaluation is an ordinary lab campaign submitted
-// through an api.Runner, so the same tuner runs in-process, against a
-// wishsimd daemon, or across a cluster — and every evaluation is
-// memoized by spec key, journaled, and stored like any other run.
+// scale. Every evaluation batch is an ordinary campaign warmed through
+// a lab.Lab, so the same tuner runs in-process or, with the lab's
+// Backend set to a serve.Client, against a wishsimd daemon or a
+// cluster — and every evaluation is memoized by spec key, journaled,
+// and stored like any other run.
 //
 // Determinism contract: with equal Options (including Seed), Tune
 // produces a byte-identical Table. Scoring uses the simulator's
@@ -33,7 +34,6 @@ import (
 	"io"
 	"sort"
 
-	"wishbranch/internal/api"
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/conf"
 	"wishbranch/internal/config"
@@ -108,7 +108,7 @@ func (p Policy) Machine() *config.Machine {
 // Spec builds the full simulation spec evaluating this policy on one
 // benchmark. The variant is always the full wish jump/join/loop binary
 // — the binary whose behaviour the policy knobs govern.
-func (p Policy) Spec(bench string, in workload.Input, scale float64, maxCycles uint64) lab.Spec {
+func (p Policy) Spec(bench string, in workload.Input, scale float64) lab.Spec {
 	return lab.Spec{
 		Bench:      bench,
 		Input:      in,
@@ -116,7 +116,6 @@ func (p Policy) Spec(bench string, in workload.Input, scale float64, maxCycles u
 		Machine:    p.Machine(),
 		Scale:      scale,
 		Thresholds: p.Thresholds,
-		MaxCycles:  maxCycles,
 	}
 }
 
@@ -235,10 +234,10 @@ const (
 
 // Options configures a tuning run.
 type Options struct {
-	// Runner executes the evaluation campaigns: an api.LabRunner for
-	// in-process search, a serve.Client for a daemon, a cluster
-	// coordinator for a worker fleet. Required.
-	Runner api.Runner
+	// Lab executes the evaluation campaigns, simulating in-process or
+	// through its Backend (a serve.Client for a daemon or a cluster
+	// coordinator). Required.
+	Lab *lab.Lab
 	// Benches are the workloads to tune (default: all nine).
 	Benches []string
 	// Input is the profiling/evaluation input set.
@@ -258,19 +257,17 @@ type Options struct {
 	// Climb bounds the hill-climb refinement rounds after halving
 	// (default DefaultClimb; negative disables climbing).
 	Climb int
-	// MaxCycles bounds each simulation (0 = no practical limit).
-	MaxCycles uint64
 	// Log receives deterministic progress lines (nil = silent).
 	Log io.Writer
 }
 
 // evaluator memoizes policy evaluations by spec key and charges each
 // unique simulation to its benchmark, so Evals counts real work, not
-// re-lookups. Batches flow through the Runner as one campaign.
+// re-lookups. Each batch is warmed through the lab as one campaign.
 type evaluator struct {
-	runner api.Runner
-	cache  map[string]uint64 // spec key → cycles
-	evals  map[string]int    // bench → unique evaluations
+	lab   *lab.Lab
+	cache map[string]uint64 // spec key → cycles
+	evals map[string]int    // bench → unique evaluations
 }
 
 type evalReq struct {
@@ -294,21 +291,18 @@ func (e *evaluator) run(ctx context.Context, reqs []evalReq) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	items, err := e.runner.Campaign(ctx, fresh)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(items) != len(fresh) {
-		return fmt.Errorf("tune: campaign returned %d items for %d specs", len(items), len(fresh))
-	}
-	for i, it := range items {
-		if it.Err != "" {
-			return fmt.Errorf("tune: %s: %s", fresh[i], it.Err)
+	// Warm fans the batch out across the lab's workers; the reads
+	// below are then memo hits.
+	e.lab.Warm(fresh)
+	for i, s := range fresh {
+		res, err := e.lab.ResultContext(ctx, s)
+		if err != nil {
+			return fmt.Errorf("tune: %s: %w", s, err)
 		}
-		if it.Result == nil {
-			return fmt.Errorf("tune: %s: campaign item has no result", fresh[i])
-		}
-		e.cache[fresh[i].Key()] = it.Result.Cycles
+		e.cache[s.Key()] = res.Cycles
 		e.evals[benches[i]]++
 	}
 	return nil
@@ -322,8 +316,8 @@ func (e *evaluator) get(s lab.Spec) uint64 { return e.cache[s.Key()] }
 // scale, and a workload keeps the default when the search fails to
 // beat it (Speedup 1.0), so every table row satisfies Speedup >= 1.
 func Tune(ctx context.Context, o Options) (*Table, error) {
-	if o.Runner == nil {
-		return nil, errors.New("tune: Options.Runner is required")
+	if o.Lab == nil {
+		return nil, errors.New("tune: Options.Lab is required")
 	}
 	benches := o.Benches
 	if len(benches) == 0 {
@@ -382,7 +376,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 	logf("tune: %d candidates, %d rungs, %d benches, seed %d\n",
 		len(cands), o.Rungs, len(benches), o.Seed)
 
-	ev := &evaluator{runner: o.Runner, cache: make(map[string]uint64), evals: make(map[string]int)}
+	ev := &evaluator{lab: o.Lab, cache: make(map[string]uint64), evals: make(map[string]int)}
 	alive := make(map[string][]int) // bench → surviving candidate indices
 	for _, bench := range benches {
 		ids := make([]int, len(cands))
@@ -401,7 +395,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 		var reqs []evalReq
 		for _, bench := range benches {
 			for _, ci := range alive[bench] {
-				reqs = append(reqs, evalReq{bench, policyAt(ax, cands[ci]).Spec(bench, o.Input, scale, o.MaxCycles)})
+				reqs = append(reqs, evalReq{bench, policyAt(ax, cands[ci]).Spec(bench, o.Input, scale)})
 			}
 		}
 		logf("tune: rung %d/%d at scale %g: %d evaluations\n", rung+1, o.Rungs, scale, len(reqs))
@@ -411,7 +405,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 		for _, bench := range benches {
 			ids := alive[bench]
 			score := func(ci int) uint64 {
-				return ev.get(policyAt(ax, cands[ci]).Spec(bench, o.Input, scale, o.MaxCycles))
+				return ev.get(policyAt(ax, cands[ci]).Spec(bench, o.Input, scale))
 			}
 			sort.SliceStable(ids, func(a, b int) bool {
 				sa, sb := score(ids[a]), score(ids[b])
@@ -449,7 +443,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 				continue
 			}
 			for _, nb := range neighbors(ax, cur[bench]) {
-				spec := policyAt(ax, nb).Spec(bench, o.Input, o.Scale, o.MaxCycles)
+				spec := policyAt(ax, nb).Spec(bench, o.Input, o.Scale)
 				moves = append(moves, move{bench, nb, spec})
 				reqs = append(reqs, evalReq{bench, spec})
 			}
@@ -466,7 +460,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 			if done[bench] {
 				continue
 			}
-			best := ev.get(policyAt(ax, cur[bench]).Spec(bench, o.Input, o.Scale, o.MaxCycles))
+			best := ev.get(policyAt(ax, cur[bench]).Spec(bench, o.Input, o.Scale))
 			moved := false
 			for _, mv := range moves {
 				if mv.bench != bench {
@@ -493,7 +487,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 	def := DefaultPolicy()
 	var reqs []evalReq
 	for _, bench := range benches {
-		reqs = append(reqs, evalReq{bench, def.Spec(bench, o.Input, o.Scale, o.MaxCycles)})
+		reqs = append(reqs, evalReq{bench, def.Spec(bench, o.Input, o.Scale)})
 	}
 	if err := ev.run(ctx, reqs); err != nil {
 		return nil, err
@@ -509,8 +503,8 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 	}
 	for _, bench := range benches {
 		p := policyAt(ax, cur[bench])
-		cyc := ev.get(p.Spec(bench, o.Input, o.Scale, o.MaxCycles))
-		defCyc := ev.get(def.Spec(bench, o.Input, o.Scale, o.MaxCycles))
+		cyc := ev.get(p.Spec(bench, o.Input, o.Scale))
+		defCyc := ev.get(def.Spec(bench, o.Input, o.Scale))
 		if defCyc <= cyc {
 			p, cyc = def, defCyc
 		}

@@ -8,9 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
-	"wishbranch/internal/api"
 	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/workload"
@@ -21,9 +21,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // testOptions is a deliberately small search so the whole suite stays
 // in the seconds range: one bench, six candidates, two rungs, one
 // climb round, half the default full scale.
-func testOptions(r api.Runner) Options {
+func testOptions(l *lab.Lab) Options {
 	return Options{
-		Runner:     r,
+		Lab:        l,
 		Benches:    []string{"gzip"},
 		Input:      workload.InputA,
 		Seed:       42,
@@ -124,7 +124,7 @@ func TestTuneDeterministic(t *testing.T) {
 	}
 	var tables [][]byte
 	for i := 0; i < 2; i++ {
-		tab, err := Tune(context.Background(), testOptions(api.LabRunner{Lab: lab.New()}))
+		tab, err := Tune(context.Background(), testOptions(lab.New()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestTuneNeverRegresses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full search in -short mode")
 	}
-	tab, err := Tune(context.Background(), testOptions(api.LabRunner{Lab: lab.New()}))
+	tab, err := Tune(context.Background(), testOptions(lab.New()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,41 +162,42 @@ func TestTuneNeverRegresses(t *testing.T) {
 	}
 }
 
-// countingRunner asserts the tuner's batching contract: evaluations
-// arrive as whole campaigns, never as spec-at-a-time Run calls.
-type countingRunner struct {
-	inner     api.Runner
-	runs      int
-	campaigns int
-	specs     int
-}
-
-func (c *countingRunner) Run(ctx context.Context, s lab.Spec) (*cpu.Result, error) {
-	c.runs++
-	return c.inner.Run(ctx, s)
-}
-
-func (c *countingRunner) Campaign(ctx context.Context, specs []lab.Spec) ([]api.CampaignItem, error) {
-	c.campaigns++
-	c.specs += len(specs)
-	return c.inner.Campaign(ctx, specs)
-}
-
+// TestTuneBatchesCampaigns pins the tuner's batching contract:
+// evaluations reach the lab as whole batches that its workers run
+// concurrently, never one spec at a time, and no spec is simulated
+// twice. The backend records how many simulations overlap.
 func TestTuneBatchesCampaigns(t *testing.T) {
-	cr := &countingRunner{inner: api.LabRunner{Lab: lab.New()}}
-	o := testOptions(cr)
-	if _, err := Tune(context.Background(), o); err != nil {
+	var (
+		mu          sync.Mutex
+		inFlight    int
+		peak, calls int
+		seen        = make(map[string]bool)
+	)
+	sched := lab.New()
+	sched.Workers = 4
+	sched.Backend = func(ctx context.Context, s lab.Spec) (*cpu.Result, error) {
+		mu.Lock()
+		calls++
+		if k := s.Key(); seen[k] {
+			t.Errorf("%s simulated twice", s)
+		} else {
+			seen[k] = true
+		}
+		inFlight++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}()
+		return s.SimulateContext(ctx)
+	}
+	if _, err := Tune(context.Background(), testOptions(sched)); err != nil {
 		t.Fatal(err)
 	}
-	if cr.runs != 0 {
-		t.Fatalf("tuner made %d spec-at-a-time Run calls; want all work batched", cr.runs)
-	}
-	// One campaign per rung, at most one per climb round, one baseline.
-	if max := o.Rungs + o.Climb + 1; cr.campaigns > max {
-		t.Fatalf("%d campaigns for %d rungs + %d climb rounds; want <= %d", cr.campaigns, o.Rungs, o.Climb, max)
-	}
-	if cr.campaigns < o.Rungs {
-		t.Fatalf("%d campaigns, want at least one per rung (%d)", cr.campaigns, o.Rungs)
+	if peak < 2 {
+		t.Fatalf("peak of %d concurrent simulations over %d calls; want batches run across the lab's workers", peak, calls)
 	}
 }
 
@@ -215,7 +216,7 @@ func TestTuneWarmStoreRunsNothingFresh(t *testing.T) {
 		}
 		sched := lab.New()
 		sched.Store = store
-		if _, err := Tune(context.Background(), testOptions(api.LabRunner{Lab: sched})); err != nil {
+		if _, err := Tune(context.Background(), testOptions(sched)); err != nil {
 			t.Fatal(err)
 		}
 		c := sched.Counters()

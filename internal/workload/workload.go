@@ -34,6 +34,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/emu"
@@ -59,6 +60,20 @@ func (in Input) String() string {
 		return "input-C"
 	}
 	return fmt.Sprintf("input-%d", int(in))
+}
+
+// ParseInput maps an input set's letter (A, B or C, either case) to
+// its Input.
+func ParseInput(s string) (Input, error) {
+	switch strings.ToUpper(s) {
+	case "A":
+		return InputA, nil
+	case "B":
+		return InputB, nil
+	case "C":
+		return InputC, nil
+	}
+	return 0, fmt.Errorf("unknown input %q", s)
 }
 
 // Inputs lists all input sets.

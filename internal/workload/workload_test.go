@@ -122,3 +122,25 @@ func TestDisassemblyRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// TestParseInput pins the -input spellings the CLIs accept: every
+// input set's letter in either case, and nothing else.
+func TestParseInput(t *testing.T) {
+	cases := []struct {
+		name string
+		want Input
+	}{
+		{"A", InputA}, {"a", InputA},
+		{"B", InputB}, {"b", InputB},
+		{"C", InputC}, {"c", InputC},
+	}
+	for _, tc := range cases {
+		got, err := ParseInput(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseInput(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := ParseInput("D"); err == nil {
+		t.Error("ParseInput accepted an unknown input")
+	}
+}

@@ -15,6 +15,14 @@
 #      (checkpoint_hits > 0), and the rerun output is byte-identical
 #      to a local run.
 #
+# Part 3 — worker write-ahead journal:
+#   6. SIGKILL a `wishsimd -journal` worker (bounded store) while a
+#      `wishbench -server` campaign runs against it,
+#   7. restart it on the same journal and store and assert it resumed
+#      frames (journal.resumed >= 1 in /metrics), pinned every resumed
+#      key in its store (store.pinned >= journal.resumed), and that a
+#      rerun through it is byte-identical to the local control run.
+#
 # Runnable locally (./scripts/e2e_resume.sh) and from CI. Needs curl;
 # uses jq when present and a grep fallback when not.
 set -euo pipefail
@@ -26,6 +34,8 @@ SCALE=${E2E_SCALE:-0.05}
 BASE_PORT=${E2E_PORT:-18201}
 COORD_PORT=$((BASE_PORT + 2))
 COORD="http://127.0.0.1:${COORD_PORT}"
+JWORKER_PORT=$((BASE_PORT + 3))
+JWORKER="http://127.0.0.1:${JWORKER_PORT}"
 
 WORK=$(mktemp -d)
 PIDS=()
@@ -56,13 +66,13 @@ wait_healthy() {
   done
 }
 
-metric() { # metric JQ_PATH GREP_FIELD — field from coordinator /metrics
-  local json path=$1 field=$2
-  json=$(curl -fsS "$COORD/metrics")
+metric() { # metric URL JQ_PATH GREP_FIELD — one field of URL's /metrics
+  local json url=$1 path=$2 field=$3
+  json=$(curl -fsS "$url/metrics")
   if command -v jq >/dev/null 2>&1; then
     printf '%s' "$json" | jq -r "$path"
   else
-    printf '%s' "$json" | grep -o "\"$field\":[0-9]*" | head -1 | cut -d: -f2
+    printf '%s' "$json" | grep -o "\"$field\": *[0-9]*" | head -1 | grep -o '[0-9]*$'
   fi
 }
 
@@ -164,7 +174,7 @@ echo "== part 2: restart coordinator on the same journal =="
 start_coordinator
 grep -Eq 'journal .*resumed_frames=[1-9]' "$WORK/coordinator.log" \
   || fail "restarted coordinator resumed no frames"
-RESUMED=$(metric .journal.resumed resumed)
+RESUMED=$(metric "$COORD" .journal.resumed resumed)
 [[ "$RESUMED" -ge 1 ]] || fail "/metrics journal.resumed is $RESUMED, want >= 1"
 echo "coordinator resumed $RESUMED checkpointed frames"
 
@@ -173,8 +183,56 @@ echo "== part 2: rerun through the restarted coordinator =="
   >"$WORK/cresumed.out" 2>"$WORK/cresumed.err"
 cmp "$WORK/control.out" "$WORK/cresumed.out" \
   || fail "post-restart cluster stdout differs from the local control run"
-HITS=$(metric .checkpoint_hits checkpoint_hits)
+HITS=$(metric "$COORD" .checkpoint_hits checkpoint_hits)
 [[ "$HITS" -ge 1 ]] || fail "checkpoint_hits is $HITS after resume, want >= 1"
 echo "post-restart run is byte-identical with checkpoint_hits=$HITS"
+
+echo "== part 3: start a journaled worker with a bounded store =="
+start_jworker() {
+  "$WORK/wishsimd" -addr "127.0.0.1:${JWORKER_PORT}" -cache-dir "$WORK/wstore" \
+    -store-max-bytes 1073741824 -journal "$WORK/wjournal" -drain-timeout 60s \
+    >>"$WORK/jworker.log" 2>&1 &
+  JWORKER_PID=$!
+  disown "$JWORKER_PID"
+  PIDS+=("$JWORKER_PID")
+  wait_healthy "$JWORKER" "journaled worker"
+}
+start_jworker
+
+echo "== part 3: SIGKILL the worker mid-campaign =="
+"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -server "$JWORKER" \
+  >"$WORK/wkilled.out" 2>"$WORK/wkilled.err" &
+WBENCH_PID=$!
+PIDS+=("$WBENCH_PID")
+# The worker journal holds only result frames (no spec set), so any
+# growth past the 8-byte header means a journaled result.
+WJFILE="$WORK/wjournal/server.wbj"
+for i in $(seq 1 600); do
+  size=$(stat -c%s "$WJFILE" 2>/dev/null || echo 0)
+  if [[ "$size" -gt 8 ]]; then break; fi
+  [[ $i -eq 600 ]] && fail "worker journaled nothing within 60s"
+  sleep 0.1
+done
+kill -9 "$JWORKER_PID" 2>/dev/null || true
+wait "$WBENCH_PID" 2>/dev/null || true # client fails with the worker down
+echo "worker SIGKILLed after ≥1 journaled result"
+
+echo "== part 3: restart the worker on the same journal and store =="
+start_jworker
+grep -Eq 'journal .*resumed_frames=[1-9]' "$WORK/jworker.log" \
+  || fail "restarted worker resumed no frames"
+WRESUMED=$(metric "$JWORKER" .journal.resumed resumed)
+[[ "$WRESUMED" -ge 1 ]] || fail "worker /metrics journal.resumed is $WRESUMED, want >= 1"
+PINNED=$(metric "$JWORKER" .store.pinned pinned)
+[[ "$PINNED" -ge "$WRESUMED" ]] \
+  || fail "worker store pins $PINNED keys, fewer than the $WRESUMED it resumed"
+echo "worker resumed $WRESUMED frames and pins $PINNED store keys"
+
+echo "== part 3: rerun through the restarted worker =="
+"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -server "$JWORKER" \
+  >"$WORK/wresumed.out" 2>"$WORK/wresumed.err"
+cmp "$WORK/control.out" "$WORK/wresumed.out" \
+  || fail "post-restart worker stdout differs from the local control run"
+echo "post-restart worker run is byte-identical"
 
 echo "e2e_resume: PASS"
