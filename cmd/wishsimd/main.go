@@ -30,16 +30,22 @@
 //	wishsimd -coordinator -worker http://h1:8081,http://h2:8081,http://h3:8081
 //	wishsimd -coordinator -worker ... -probe-interval 1s # membership probes
 //
-// The coordinator consistent-hashes each request's cache key onto the
-// worker ring (keeping every worker's memo table hot for its shard),
-// fans campaigns out per worker, and merges responses in request order
-// — byte-identical to a single node, including across worker failures
-// (see internal/cluster).
+// A coordinator is worker mode with the worker ring in place of the
+// store: the same server, whose lab acquires each result it does not
+// hold by routing the spec's cache key to its home worker on the ring
+// (keeping every worker's memo table hot for its shard), with failover
+// to the next live node (see internal/cluster). -queue, -fault,
+// -max-timeout and -journal mean what they mean on a worker. -j is
+// different: a coordinator's routed runs execute on its workers, so
+// this host's CPU count says nothing about the fleet, and without -j
+// the coordinator bounds nothing itself and the workers' 429s are the
+// backpressure. An explicit -j N > 0 caps routed runs in flight at N
+// (failover backoff included) and admission at N + -queue.
 //
 // Endpoints: POST /v1/run, POST /v1/campaign, GET /healthz,
 // GET /metrics (see internal/serve). Responses default to JSON; a
 // client advertising the binary content types in Accept gets a binary
-// run response, and campaigns stream length-prefixed items as workers
+// run response, and campaigns stream length-prefixed items as they
 // finish (request order is restored client-side from per-item indices,
 // so merged output stays byte-identical). Old clients and old servers
 // interoperate either way — negotiation is strictly additive.
@@ -47,8 +53,7 @@
 // -j + -queue are rejected with 429 and a Retry-After hint. On SIGTERM
 // or SIGINT the daemon stops admitting work (503), finishes every
 // admitted request within -drain-timeout, and exits 0; a drain that
-// misses the deadline exits 1. Both modes follow the same drain
-// contract.
+// misses the deadline exits 1.
 package main
 
 import (
@@ -92,17 +97,17 @@ func run() int {
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	flag.Parse()
 
+	var urls []string
 	if *coordinator {
-		return runCoordinator(coordinatorConfig{
-			addr:          *addr,
-			workers:       *workerList,
-			probeInterval: *probeInterval,
-			replicas:      *replicas,
-			maxTimeout:    *maxTimeout,
-			drainTimeout:  *drainTimeout,
-			journalDir:    lf.Journal,
-			verbose:       lf.Verbose,
-		})
+		for _, u := range strings.Split(*workerList, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				urls = append(urls, strings.TrimRight(u, "/"))
+			}
+		}
+		if len(urls) == 0 {
+			fmt.Fprintln(os.Stderr, "wishsimd: -coordinator needs at least one -worker URL")
+			return 2
+		}
 	}
 
 	fault, err := serve.ParseFault(*faultSpec)
@@ -113,7 +118,12 @@ func run() int {
 
 	sched := lab.New()
 	lf.Apply(sched)
-	if store := lf.OpenStore("wishsimd"); store != nil {
+	// A coordinator's lab keeps no store: its workers own theirs.
+	var store *lab.Store
+	if !*coordinator {
+		store = lf.OpenStore("wishsimd")
+	}
+	if store != nil {
 		sched.Store = store
 		fmt.Fprintf(os.Stderr, "wishsimd: result store at %s\n", store.Dir())
 		if *storeMax > 0 {
@@ -129,15 +139,21 @@ func run() int {
 	// Crash safety: replay the journal into the memo table (and store),
 	// pin every journaled key against GC eviction, and journal every
 	// result acquired from here on — a SIGKILL'd daemon restarts with
-	// everything it had acknowledged.
+	// everything it had acknowledged, and a restarted coordinator
+	// routes only what it had not answered.
 	var jnl *journal.Journal
 	if lf.Journal != "" {
-		jpath := filepath.Join(lf.Journal, "server.wbj")
+		name := "server.wbj"
+		if *coordinator {
+			name = "coordinator.wbj"
+		}
+		jpath := filepath.Join(lf.Journal, name)
 		j, rep, err := journal.Open(jpath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
 			return 1
 		}
+		defer j.Close()
 		jnl = j
 		resumed := journal.Attach(sched, j, rep, nil, func(err error) {
 			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
@@ -145,9 +161,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, resumed)
 	}
 
+	// A coordinator's routed runs execute on its workers, so this
+	// host's CPU count says nothing about the fleet: unless -j N > 0 is
+	// given it bounds nothing, and its workers' 429s are the
+	// backpressure. A negative -j on a worker is NumCPU, as in lab.
+	workers := max(lf.Workers, 0)
+	if *coordinator && !(flagSet("j") && workers > 0) {
+		workers = -1
+	}
 	srv := &serve.Server{
 		Lab:        sched,
-		Workers:    lf.Workers,
+		Workers:    workers,
 		MaxTimeout: *maxTimeout,
 		Fault:      fault,
 	}
@@ -163,80 +187,42 @@ func run() int {
 		srv.Log = os.Stderr
 	}
 
-	return serveUntilSignal(*addr, srv.Handler(),
-		fmt.Sprintf("listening on %s (%d workers, queue %d)", *addr, lf.Workers, *queue),
+	if !*coordinator {
+		return serveUntilSignal(*addr, srv.Handler(),
+			fmt.Sprintf("listening on %s (%d workers, queue %d)", *addr, lf.Workers, *queue),
+			*drainTimeout, srv.Drain, sched.Summary)
+	}
+	reg := cluster.NewRegistry(urls)
+	reg.ProbeInterval = *probeInterval
+	reg.Replicas = *replicas
+	if lf.Verbose {
+		reg.Log = os.Stderr
+	}
+	handler := cluster.NewCoordinator(reg, srv).Handler()
+	reg.Start()
+	defer reg.Stop()
+	inFlight := fmt.Sprintf("%d in flight, queue %d", workers, *queue)
+	if workers < 0 {
+		inFlight = "unbounded in flight"
+	}
+	return serveUntilSignal(*addr, handler,
+		fmt.Sprintf("coordinating %d workers on %s (probe every %v, %s)", len(urls), *addr, *probeInterval, inFlight),
 		*drainTimeout, srv.Drain, sched.Summary)
 }
 
-type coordinatorConfig struct {
-	addr          string
-	workers       string
-	probeInterval time.Duration
-	replicas      int
-	maxTimeout    time.Duration
-	drainTimeout  time.Duration
-	journalDir    string
-	verbose       bool
-}
-
-// runCoordinator fronts the worker fleet behind the same wire API a
-// single worker speaks, following the same SIGTERM drain contract as
-// worker mode.
-func runCoordinator(cfg coordinatorConfig) int {
-	var urls []string
-	for _, u := range strings.Split(cfg.workers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "wishsimd: -coordinator needs at least one -worker URL")
-		return 2
-	}
-
-	reg := cluster.NewRegistry(urls)
-	reg.ProbeInterval = cfg.probeInterval
-	reg.Replicas = cfg.replicas
-	co := &cluster.Coordinator{
-		Registry:   reg,
-		MaxTimeout: cfg.maxTimeout,
-	}
-	if cfg.verbose {
-		reg.Log = os.Stderr
-		co.Log = os.Stderr
-	}
-	// Merge-progress checkpointing: every merged result is journaled
-	// before the response carries it, and a restarted coordinator
-	// re-dispatches only the unfinished remainder of a re-submitted
-	// campaign.
-	if cfg.journalDir != "" {
-		jpath := filepath.Join(cfg.journalDir, "coordinator.wbj")
-		j, rep, err := journal.Open(jpath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-			return 1
-		}
-		defer j.Close()
-		co.Journal = j
-		for key, res := range rep.Results {
-			co.SeedCheckpoint(key, res)
-		}
-		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, len(rep.Results))
-	}
-	reg.Start()
-	defer reg.Stop()
-
-	return serveUntilSignal(cfg.addr, co.Handler(),
-		fmt.Sprintf("coordinating %d workers on %s (probe every %v)", len(urls), cfg.addr, cfg.probeInterval),
-		cfg.drainTimeout, co.Drain, func() string { return "coordinator" })
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // serveUntilSignal serves h on addr until SIGTERM or SIGINT, logging
 // listening once the listener starts, and then follows the drain
-// contract both modes share: drain admitted work (bounded by
-// drainTimeout) and close the listener. summary names what drained
-// cleanly. It returns the exit code: 1 for a listen failure or a
-// missed drain deadline, 0 for a clean drain.
+// contract: drain admitted work (bounded by drainTimeout) and close
+// the listener. summary names what drained cleanly. It returns the
+// exit code: 1 for a listen failure or a missed drain deadline, 0 for
+// a clean drain.
 func serveUntilSignal(addr string, h http.Handler, listening string, drainTimeout time.Duration,
 	drain func(context.Context) error, summary func() string) int {
 	httpSrv := &http.Server{Addr: addr, Handler: h}

@@ -195,21 +195,22 @@ type ClusterMetrics struct {
 	LiveWorkers  int    `json:"live_workers"`
 	TotalWorkers int    `json:"total_workers"`
 
-	// Routing counters: Reroutes counts shard dispatch retries (after
-	// a failure or a busy worker). Hedges always reads 0: the
-	// coordinator no longer hedges, and the field is kept because wire
-	// version 1 may only grow.
+	// Routing counters: Reroutes counts re-dispatches of a run to a
+	// freshly-resolved ring (after a failure or a busy worker). Hedges
+	// always reads 0: the coordinator no longer hedges, and the field
+	// is kept because wire version 1 may only grow.
 	Reroutes uint64 `json:"reroutes"`
 	Hedges   uint64 `json:"hedges"`
-	// CheckpointHits counts request items answered from the merge
-	// checkpoint (the coordinator journal) instead of a worker.
+	// CheckpointHits counts request items answered without touching a
+	// worker: the coordinator lab's memo hits, i.e. results replayed
+	// from its journal or routed earlier.
 	CheckpointHits uint64 `json:"checkpoint_hits"`
 
 	Requests  map[string]uint64 `json:"requests"`
 	Responses map[string]uint64 `json:"responses"`
 
-	// Journal is present when the coordinator checkpoints to a journal
-	// (same shape as a worker's journal section).
+	// Journal is present when the coordinator runs with a journal
+	// (it is the coordinator server's own journal section).
 	Journal *JournalMetrics `json:"journal,omitempty"`
 
 	Workers []WorkerStatus `json:"workers"`

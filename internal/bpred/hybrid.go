@@ -54,10 +54,6 @@ type Hybrid struct {
 	selector []ctr2
 	specHist uint64 // speculatively updated at prediction
 	histMask uint64
-
-	// Lookups and correct direction predictions at commit time, for
-	// statistics.
-	Commits, Correct uint64
 }
 
 // NewHybrid builds the predictor. Table sizes must be powers of two.
@@ -150,10 +146,6 @@ func (h *Hybrid) Hist() uint64 { return h.specHist }
 // Commit trains the predictor with the branch's actual outcome. p must
 // be the Pred returned by Lookup for this dynamic branch.
 func (h *Hybrid) Commit(pc uint64, p Pred, taken bool) {
-	h.Commits++
-	if p.Taken == taken {
-		h.Correct++
-	}
 	gi := h.gshareIdx(pc, p.Hist)
 	h.gshare[gi] = h.gshare[gi].update(taken)
 	// Train the PHT entry that actually made the prediction: the one
@@ -167,14 +159,6 @@ func (h *Hybrid) Commit(pc uint64, p Pred, taken bool) {
 		si := h.selIdx(pc, p.Hist)
 		h.selector[si] = h.selector[si].update(p.gshareTaken == taken)
 	}
-}
-
-// Accuracy returns committed-prediction accuracy in [0,1].
-func (h *Hybrid) Accuracy() float64 {
-	if h.Commits == 0 {
-		return 0
-	}
-	return float64(h.Correct) / float64(h.Commits)
 }
 
 func b2u(b bool) uint64 {

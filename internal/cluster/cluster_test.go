@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +38,13 @@ func testSpec(scale float64) lab.Spec {
 	}
 }
 
+// failScale is the scale at which a scripted simulation fails, the
+// way a run that hits its cycle limit does.
+const (
+	failScale = 0.77777
+	failMsg   = "cpu: scripted cycle limit"
+)
+
 // scriptedLab fabricates deterministic results from the spec scale;
 // when block is non-nil every fresh production parks until it closes.
 func scriptedLab(block <-chan struct{}) *lab.Lab {
@@ -45,6 +56,9 @@ func scriptedLab(block <-chan struct{}) *lab.Lab {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
+		}
+		if s.Scale == failScale {
+			return nil, errors.New(failMsg)
 		}
 		return &cpu.Result{Cycles: uint64(s.Scale * 100000), Halted: true}, nil
 	}
@@ -60,14 +74,13 @@ func startWorker(t *testing.T, l *lab.Lab) *httptest.Server {
 	return ts
 }
 
-// startCluster runs a coordinator over the URLs and returns a wire
-// client pointed at it — the same client wishbench uses.
+// startCluster runs a coordinator over the URLs, unbounded as wishsimd
+// builds one without -j, and returns a wire client pointed at it — the
+// same client wishbench uses.
 func startCluster(t *testing.T, urls []string, tune func(*Coordinator)) (*Coordinator, *serve.Client, *httptest.Server) {
 	t.Helper()
-	co := &Coordinator{
-		Registry: NewRegistry(urls),
-		Backoff:  time.Millisecond,
-	}
+	co := NewCoordinator(NewRegistry(urls), &serve.Server{Lab: lab.New(), Workers: -1})
+	co.Backoff = time.Millisecond
 	if tune != nil {
 		tune(co)
 	}
@@ -106,17 +119,18 @@ func specsCoveringAllWorkers(t *testing.T, co *Coordinator, extra int) []lab.Spe
 // TestClusterRunShardAffinity: the coordinator is a drop-in for a
 // single worker on /v1/run, and repeat requests for a key land on the
 // same worker — whose singleflight memo table turns them into memory
-// hits instead of fresh simulations.
+// hits instead of fresh simulations. Each repeat goes through a fresh
+// coordinator, whose own memo table would otherwise answer it.
 func TestClusterRunShardAffinity(t *testing.T) {
 	labs := []*lab.Lab{scriptedLab(nil), scriptedLab(nil), scriptedLab(nil)}
 	var urls []string
 	for _, l := range labs {
 		urls = append(urls, startWorker(t, l).URL)
 	}
-	_, cl, _ := startCluster(t, urls, nil)
 
 	spec := testSpec(0.07)
 	for i := 0; i < 3; i++ {
+		_, cl, _ := startCluster(t, urls, nil)
 		res, err := cl.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -138,14 +152,15 @@ func TestClusterRunShardAffinity(t *testing.T) {
 
 // TestClusterCampaignByteIdenticalToSingleNode is the acceptance merge
 // test: a campaign through a 3-worker cluster must produce a response
-// byte-identical (as JSON) to the same campaign on one plain worker.
+// byte-identical (as JSON) to the same campaign on one plain worker,
+// failed items included, and a failed run must answer the same error.
 func TestClusterCampaignByteIdenticalToSingleNode(t *testing.T) {
 	var urls []string
 	for i := 0; i < 3; i++ {
 		urls = append(urls, startWorker(t, scriptedLab(nil)).URL)
 	}
 	co, cl, _ := startCluster(t, urls, nil)
-	specs := specsCoveringAllWorkers(t, co, 9)
+	specs := append(specsCoveringAllWorkers(t, co, 9), testSpec(failScale))
 
 	clustered, err := cl.Campaign(context.Background(), specs)
 	if err != nil {
@@ -157,6 +172,14 @@ func TestClusterCampaignByteIdenticalToSingleNode(t *testing.T) {
 	reference, err := scl.Campaign(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := clustered[len(specs)-1].Err; got != failMsg {
+		t.Errorf("failed item's error through the cluster = %q, want %q", got, failMsg)
+	}
+	_, cerr := cl.Run(context.Background(), testSpec(failScale))
+	_, serr := scl.Run(context.Background(), testSpec(failScale))
+	if cerr == nil || serr == nil || cerr.Error() != serr.Error() {
+		t.Errorf("failed run through the cluster = %v, single node = %v, want the same error", cerr, serr)
 	}
 
 	cb, err := json.Marshal(clustered)
@@ -250,9 +273,9 @@ func TestClusterStragglerIsNotDemoted(t *testing.T) {
 	}
 }
 
-// TestCluster429Propagation: a cluster at capacity answers 429 with
-// the maximum Retry-After across shards — honest backpressure, not an
-// absorbed queue.
+// TestCluster429Propagation: a run whose home worker is at capacity
+// answers 429 with that worker's Retry-After — honest backpressure,
+// not an absorbed queue.
 func TestCluster429Propagation(t *testing.T) {
 	busy := func(retryAfter int) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -267,26 +290,31 @@ func TestCluster429Propagation(t *testing.T) {
 		c.Retries = -1 // no retry layering: the propagation itself is under test
 	})
 
-	// A batch covering both workers: the propagated hint must be the
-	// 7-second maximum.
-	specs := specsCoveringAllWorkers(t, co, 0)
-	body, err := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: specs})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		home *Worker
+		want string
+	}{{co.Registry.Workers()[0], "3"}, {co.Registry.Workers()[1], "7"}} {
+		body, err := json.Marshal(api.RunRequest{Schema: api.Version, Spec: specHomedAt(t, co, tc.home)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status = %d, want 429 propagated from the home worker", resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.want {
+			t.Errorf("Retry-After = %q, want the home worker's %ss", got, tc.want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
+			t.Errorf("Content-Type = %q, want explicit JSON on cluster errors too", ct)
+		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/campaign", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429 propagated from the workers", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want the 7s maximum across shards", got)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Errorf("Content-Type = %q, want explicit JSON on cluster errors too", ct)
+	if live := len(co.Registry.Live()); live != 2 {
+		t.Errorf("%d workers live after 429s, want 2 — busy is not dead", live)
 	}
 }
 
@@ -346,7 +374,9 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 	}
 
 	// And a run against the dead cluster is shed with 503+Retry-After.
-	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: testSpec(0.05)})
+	// (A key the coordinator has not seen: its memo table answers the
+	// one it routed above.)
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: testSpec(0.06)})
 	rresp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -362,10 +392,13 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 // flips /healthz, same contract as a single worker.
 func TestClusterDrain(t *testing.T) {
 	w1 := startWorker(t, scriptedLab(nil))
-	co, cl, ts := startCluster(t, []string{w1.URL}, nil)
+	srv := &serve.Server{Lab: lab.New(), Workers: -1}
+	ts := httptest.NewServer(NewCoordinator(NewRegistry([]string{w1.URL}), srv).Handler())
+	defer ts.Close()
+	cl := &serve.Client{Base: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if err := co.Drain(ctx); err != nil {
+	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: testSpec(0.05)})
@@ -424,5 +457,151 @@ func TestClusterBadRequests(t *testing.T) {
 	}
 	if hits != 0 {
 		t.Errorf("%d bad requests leaked through to a worker", hits)
+	}
+}
+
+// TestClusterRecoversHealedWorker: a worker that answers 500 is marked
+// dead and the run fails; once it heals and a probe sees it, the same
+// spec succeeds. The failure must not be memoized by the coordinator's
+// lab — a routing error says nothing about the spec.
+func TestClusterRecoversHealedWorker(t *testing.T) {
+	var broken atomic.Bool
+	broken.Store(true)
+	inner := (&serve.Server{Lab: scriptedLab(nil), Workers: 2}).Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if broken.Load() {
+			api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: "broken"})
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	co, _, ts := startCluster(t, []string{worker.URL}, nil)
+	cl := &serve.Client{Base: ts.URL, Retries: -1}
+	spec := testSpec(0.03)
+
+	_, err := cl.Run(context.Background(), spec)
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusInternalServerError {
+		t.Fatalf("run against a broken worker: %v, want its 500 passed through", err)
+	}
+	if co.Registry.Workers()[0].Alive() {
+		t.Fatal("worker answering 500 still marked live")
+	}
+
+	broken.Store(false)
+	co.Registry.ProbeOnce(context.Background())
+	if !co.Registry.Workers()[0].Alive() {
+		t.Fatal("healed worker not resurrected by the probe")
+	}
+	res, err := cl.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run after the worker healed: %v (routing failure memoized?)", err)
+	}
+	if res.Cycles != 3000 {
+		t.Errorf("result = %+v, want the scripted 3000 cycles", res)
+	}
+}
+
+// TestClusterNegotiatesEncodings: the coordinator is a serve.Server, so
+// its /v1/run answers the binary result and its /v1/campaign streams
+// to a client that asks, exactly as a worker's do.
+func TestClusterNegotiatesEncodings(t *testing.T) {
+	w1 := startWorker(t, scriptedLab(nil))
+	_, _, ts := startCluster(t, []string{w1.URL}, nil)
+
+	post := func(path, accept string, req any) *http.Response {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		hreq.Header.Set("Content-Type", "application/json")
+		hreq.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
+
+	spec := testSpec(0.04)
+	resp := post("/v1/run", api.BinaryContentType, api.RunRequest{Schema: api.Version, Spec: spec})
+	if ct := resp.Header.Get("Content-Type"); !api.IsContentType(ct, api.BinaryContentType) {
+		t.Fatalf("/v1/run content type %q, want %q", ct, api.BinaryContentType)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr api.RunResponse
+	if err := api.DecodeRunResponse(data, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Key != spec.Key() || rr.Result == nil || rr.Result.Cycles != 4000 {
+		t.Errorf("binary run response = %+v, want key %q and 4000 cycles", rr, spec.Key())
+	}
+
+	specs := []lab.Spec{testSpec(0.04), testSpec(0.05)}
+	resp = post("/v1/campaign", api.StreamContentType, api.CampaignRequest{Schema: api.Version, Specs: specs})
+	if ct := resp.Header.Get("Content-Type"); !api.IsContentType(ct, api.StreamContentType) {
+		t.Fatalf("/v1/campaign content type %q, want %q", ct, api.StreamContentType)
+	}
+	items, err := api.ReadCampaignStream(resp.Body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if it.Key != specs[i].Key() || it.Result == nil || it.Err != "" {
+			t.Errorf("streamed item %d = %+v, want a result for %q", i, it, specs[i].Key())
+		}
+	}
+}
+
+// TestClusterRoutedRunsFollowTheClient: a coordinator built as
+// wishsimd builds one without -j caps nothing itself, so a campaign
+// wider than this host's CPU count has every item in flight on the
+// fleet at once. The worker's backend releases nobody until all have
+// arrived; a coordinator that capped routed runs at NumCPU would stall
+// here until the deadline.
+func TestClusterRoutedRunsFollowTheClient(t *testing.T) {
+	want := runtime.NumCPU() + 2
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	l := lab.New()
+	l.Backend = func(ctx context.Context, s lab.Spec) (*cpu.Result, error) {
+		if int(arrived.Add(1)) == want {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return &cpu.Result{Cycles: uint64(s.Scale * 100000), Halted: true}, nil
+	}
+	worker := httptest.NewServer((&serve.Server{Lab: l, Workers: want}).Handler())
+	defer worker.Close()
+	_, cl, _ := startCluster(t, []string{worker.URL}, nil)
+
+	specs := make([]lab.Spec, want)
+	for i := range specs {
+		specs[i] = testSpec(0.1 + 0.001*float64(i))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	items, err := cl.Campaign(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if it.Err != "" || it.Result == nil {
+			t.Fatalf("item %d = %+v with %d of %d runs in flight, want every run routed at once",
+				i, it, arrived.Load(), want)
+		}
 	}
 }

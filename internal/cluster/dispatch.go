@@ -6,18 +6,19 @@ import (
 	"net/http"
 	"time"
 
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/serve"
 )
 
 // ErrNoWorkers is returned when the ring has no live workers to route
 // to; the coordinator answers it with 503 and a Retry-After of one
-// probe interval (the soonest membership can improve).
+// probe interval plus a second (the soonest membership can improve).
 var ErrNoWorkers = errors.New("cluster: no live workers")
 
 // routable reports whether a failure indicts the worker rather than
 // the request: transport errors and 5xx mean "route around this node",
 // while 429 means "the node is healthy but full" (back off, stay
-// home — moving the shard would just cold-miss another cache) and
+// home — moving the run would just cold-miss another cache) and
 // other 4xx mean the request itself is wrong.
 func routable(err error) bool {
 	var se *serve.StatusError
@@ -30,13 +31,13 @@ func routable(err error) bool {
 // route executes fn against key's home worker with the robustness
 // ladder: one attempt in flight at a time, the failed worker marked
 // dead on a routable failure, and a bounded backoff-retry loop that
-// re-resolves the ring each attempt — so a shard whose home died
+// re-resolves the ring each attempt — so a key whose home died
 // re-homes to the next live node clockwise, its old ring successor.
 //
 // 429s are aggregated, not routed around: if every attempt ends busy,
 // route returns a single 429 carrying the maximum Retry-After seen, so
 // the caller propagates honest backpressure instead of masking it.
-func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Context, *Worker) (any, error)) (any, error) {
+func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Context, *Worker) (*cpu.Result, error)) (*cpu.Result, error) {
 	var lastErr error
 	var maxRetryAfter time.Duration
 	sawBusy := false
@@ -60,9 +61,9 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 		}
 		w := cands[0]
 		w.reqs.Add(1)
-		v, err := fn(ctx, w)
+		res, err := fn(ctx, w)
 		if err == nil {
-			return v, nil
+			return res, nil
 		}
 		w.errs.Add(1)
 		if ctx.Err() == nil && routable(err) {
@@ -95,18 +96,35 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 func busyErr(retryAfter time.Duration) error {
 	return &serve.StatusError{
 		Status:     http.StatusTooManyRequests,
-		Msg:        "cluster: every route for this shard is at capacity",
+		Msg:        "cluster: every route for this run is at capacity",
 		RetryAfter: retryAfter,
 	}
+}
+
+func (co *Coordinator) retries() int {
+	switch {
+	case co.Retries < 0:
+		return 0
+	case co.Retries == 0:
+		return DefaultRetries
+	}
+	return co.Retries
 }
 
 // backoff is the re-route wait schedule: exponential from Backoff,
 // capped at MaxBackoff. No jitter — a coordinator retries against a
 // freshly-resolved ring, not a thundering herd of identical clients.
 func (co *Coordinator) backoff(attempt int) time.Duration {
-	d := co.Backoff << attempt
-	if d > co.MaxBackoff || d <= 0 {
-		d = co.MaxBackoff
+	first, ceiling := co.Backoff, co.MaxBackoff
+	if first <= 0 {
+		first = DefaultBackoff
+	}
+	if ceiling <= 0 {
+		ceiling = DefaultMaxBackoff
+	}
+	d := first << attempt
+	if d > ceiling || d <= 0 {
+		d = ceiling
 	}
 	return d
 }

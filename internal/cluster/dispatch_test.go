@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/serve"
 )
 
@@ -18,7 +19,6 @@ func dispatchCoordinator(tune func(*Coordinator)) *Coordinator {
 	if tune != nil {
 		tune(co)
 	}
-	co.init()
 	return co
 }
 
@@ -32,18 +32,20 @@ func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 	home, successor := cands[0], cands[1]
 
 	var tried []string
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (any, error) {
+	var served *Worker
+	_, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		tried = append(tried, w.URL)
 		if w == home {
 			return nil, errors.New("connection refused")
 		}
-		return w.URL, nil
+		served = w
+		return &cpu.Result{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != successor.URL {
-		t.Errorf("re-homed to %v, want the old ring successor %s (tried %v)", v, successor.URL, tried)
+	if served != successor {
+		t.Errorf("re-homed to %v, want the old ring successor %s (tried %v)", served, successor.URL, tried)
 	}
 	if home.Alive() {
 		t.Error("failed home worker was not marked dead")
@@ -61,7 +63,7 @@ func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 func TestRoutePermanent4xxIsNotRetried(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	calls := 0
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		calls++
 		return nil, &serve.StatusError{Status: http.StatusUnprocessableEntity, Msg: "bad spec"}
 	})
@@ -84,7 +86,7 @@ func TestRouteBusyAggregatesRetryAfter(t *testing.T) {
 	co := dispatchCoordinator(func(c *Coordinator) { c.Retries = 2 })
 	hints := []time.Duration{3 * time.Second, 9 * time.Second, 5 * time.Second}
 	calls := 0
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		h := hints[calls]
 		calls++
 		return nil, &serve.StatusError{Status: http.StatusTooManyRequests, Msg: "full", RetryAfter: h}
@@ -115,7 +117,7 @@ func TestRouteCancelledAttemptKeepsWorkerLive(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := co.route(ctx, key, func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(ctx, key, func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		<-ctx.Done() // stalls until the caller's deadline
 		return nil, ctx.Err()
 	})
@@ -139,15 +141,16 @@ func TestRouteSlowHomeGetsOneAttempt(t *testing.T) {
 	cands := co.Registry.Ring().Lookup(key, 2)
 	home, successor := cands[0], cands[1]
 
-	v, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (any, error) {
+	want := &cpu.Result{Cycles: 42}
+	res, err := co.route(context.Background(), key, func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		if w != home {
 			return nil, errors.New("a second attempt ran against the successor")
 		}
 		time.Sleep(20 * time.Millisecond)
-		return "home-result", nil
+		return want, nil
 	})
-	if err != nil || v != "home-result" {
-		t.Fatalf("route = %v, %v, want the home answer", v, err)
+	if err != nil || res != want {
+		t.Fatalf("route = %v, %v, want the home answer", res, err)
 	}
 	if home.reqs.Load() != 1 || successor.reqs.Load() != 0 {
 		t.Errorf("requests: home %d, successor %d — want 1 and 0", home.reqs.Load(), successor.reqs.Load())
@@ -160,7 +163,7 @@ func TestRouteNoLiveWorkers(t *testing.T) {
 	for _, w := range co.Registry.Workers() {
 		co.Registry.MarkDead(w)
 	}
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		t.Fatal("fn ran with no live workers")
 		return nil, nil
 	})
@@ -173,7 +176,7 @@ func TestRouteNoLiveWorkers(t *testing.T) {
 // them one by one and reports the last failure once the ring is dry.
 func TestRouteExhaustionDrainsRing(t *testing.T) {
 	co := dispatchCoordinator(func(c *Coordinator) { c.Retries = 10 })
-	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		return nil, errors.New("kaboom")
 	})
 	if err == nil || err.Error() != "kaboom" {
@@ -194,7 +197,7 @@ func TestRouteDeadlineAbortsBackoff(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := co.route(ctx, "k", func(ctx context.Context, w *Worker) (any, error) {
+	_, err := co.route(ctx, "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {
 		return nil, &serve.StatusError{Status: http.StatusTooManyRequests, Msg: "full"}
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -55,9 +55,6 @@ func BuildRing(workers []*Worker, replicas int) *Ring {
 	return &Ring{points: pts}
 }
 
-// Empty reports a ring with no workers at all.
-func (r *Ring) Empty() bool { return len(r.points) == 0 }
-
 // Lookup returns up to n distinct workers for key, in ring order: the
 // first is the key's home, the rest are its failover successors.
 // Walking clockwise from the key's hash position means the successor

@@ -95,11 +95,11 @@ func TestRingLookupShapes(t *testing.T) {
 		t.Errorf("Lookup(k, 0) = %v, want nil", got)
 	}
 	empty := BuildRing(nil, 0)
-	if !empty.Empty() || empty.Lookup("k", 1) != nil {
+	if empty.Lookup("k", 1) != nil {
 		t.Error("empty ring claims workers")
 	}
 	solo := BuildRing(ws[:1], 0)
-	if solo.Empty() || solo.Lookup("k", 2)[0] != ws[0] {
+	if got := solo.Lookup("k", 2); len(got) != 1 || got[0] != ws[0] {
 		t.Error("single-worker ring does not route everything to it")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"wishbranch/internal/emu"
-	"wishbranch/internal/prog"
 	"wishbranch/internal/testutil"
 )
 
@@ -47,30 +46,6 @@ func TestFuzzVariantEquivalence(t *testing.T) {
 				} else if got != refMem[w] {
 					t.Fatalf("seed %d %v: mem[%#x] = %d, want %d (normal)\n%s",
 						seed, v, GenMemBase+8*w, got, refMem[w], testutil.ReplayHint("arch", raw))
-				}
-			}
-		}
-	}
-}
-
-// TestFuzzDisassemblyRoundTrip: random compiled binaries must survive a
-// disassemble → parse round trip bit-exactly.
-func TestFuzzDisassemblyRoundTrip(t *testing.T) {
-	seeds := testutil.Seeds(t, 20, 5)
-	for seed := 0; seed < seeds; seed++ {
-		src := GenRandomSource(uint64(seed)*48271 + 11)
-		for _, v := range Variants() {
-			p := MustCompile(src, v)
-			p2, err := prog.Parse(p.Disassemble())
-			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, v, err)
-			}
-			if len(p2.Code) != len(p.Code) {
-				t.Fatalf("seed %d %v: %d -> %d µops", seed, v, len(p.Code), len(p2.Code))
-			}
-			for i := range p.Code {
-				if p.Code[i] != p2.Code[i] {
-					t.Fatalf("seed %d %v µop %d: %v != %v", seed, v, i, p.Code[i], p2.Code[i])
 				}
 			}
 		}

@@ -104,7 +104,7 @@ func (g *rng) intn(n int) int { return int(g.next() % uint64(n)) }
 // CampaignFromSeed derives the small real-workload campaign a cluster
 // check runs: n specs over seed-chosen benchmarks, inputs, and
 // variants at a tiny scale, so each simulation is milliseconds but the
-// sharding, merge, and failover paths all see distinct cache keys.
+// routing and failover paths all see distinct cache keys.
 func CampaignFromSeed(seed uint64, n int) []lab.Spec {
 	g := &rng{s: seed ^ 0x5851F42D4C957F2D}
 	benches := workload.All()
@@ -218,12 +218,12 @@ func runChaosCampaign(ctx context.Context, specs []lab.Spec, chaos []ChaosEvent)
 		urls[w] = ts.URL
 	}
 
-	reg := cluster.NewRegistry(urls)
-	co := &cluster.Coordinator{
-		Registry: reg,
-		Retries:  4,
-		Backoff:  2 * time.Millisecond,
-	}
+	// Unbounded, as wishsimd builds a coordinator without -j: the
+	// workers' own admission is the backpressure.
+	co := cluster.NewCoordinator(cluster.NewRegistry(urls),
+		&serve.Server{Lab: lab.New(), Workers: -1})
+	co.Retries = 4
+	co.Backoff = 2 * time.Millisecond
 	coord := httptest.NewServer(co.Handler())
 	defer coord.Close()
 

@@ -345,13 +345,6 @@ func (j *Journal) appendFrameLocked() error {
 	return nil
 }
 
-// Has reports whether key is already journaled.
-func (j *Journal) Has(key string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seen[key]
-}
-
 // Stats returns the journal's frame counters: result frames currently
 // in the file and the subset that was replayed (rather than appended)
 // by this process — the resumed_frames figure CI asserts on.
@@ -360,9 +353,6 @@ func (j *Journal) Stats() (frames, resumed uint64) {
 	defer j.mu.Unlock()
 	return j.frames, j.resumed
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the journal file. Appends are already durable; Close
 // releases the descriptor.

@@ -249,6 +249,41 @@ func TestLabBackendPersistsToStore(t *testing.T) {
 	}
 }
 
+// TestLabBackendUnavailableIsRetried: a Backend error that wraps
+// ErrUnavailable says nothing about the spec, so the next request for
+// the key calls the backend again; any other Backend error is the
+// spec's answer and stays memoized.
+func TestLabBackendUnavailableIsRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		err       error
+		wantCalls int
+	}{
+		{"unavailable", fmt.Errorf("%w: no live workers", ErrUnavailable), 2},
+		{"other", errors.New("spec rejected"), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			l := New()
+			l.Backend = func(ctx context.Context, s Spec) (*cpu.Result, error) {
+				calls++
+				return nil, tc.err
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := l.Result(cheapSpec()); !errors.Is(err, tc.err) {
+					t.Fatalf("request %d: err = %v, want %v", i, err, tc.err)
+				}
+			}
+			if calls != tc.wantCalls {
+				t.Errorf("backend called %d times for two requests, want %d", calls, tc.wantCalls)
+			}
+			if c := l.Counters(); c.Errors != uint64(tc.wantCalls) || c.Canceled != 0 {
+				t.Errorf("counters = %+v, want %d errors and no cancellations", c, tc.wantCalls)
+			}
+		})
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -12,6 +12,16 @@ import (
 	"wishbranch/internal/cpu"
 )
 
+// ErrUnavailable marks a Backend error that says nothing about the
+// spec: the backend could not be reached or had no capacity, so the
+// next request for the key should try again. Such an error is returned
+// to the callers that shared the attempt but is not memoized, the same
+// as a cancellation. A cluster coordinator wraps its routing failures
+// in it. Errors a remote client returns are deliberately left
+// memoized: a campaign warms its run-set more than once, and retrying
+// a dead server on every pass would multiply the client's wait.
+var ErrUnavailable = errors.New("lab: backend unavailable")
+
 // Lab is the campaign scheduler: a singleflight, in-memory memo table
 // in front of an optional persistent Store, with a bounded worker pool
 // for batch warm-up. The zero value is not usable; call New.
@@ -32,10 +42,12 @@ type Lab struct {
 	// Spec.SimulateContext. This is the one seam for remote execution:
 	// under -server, cliflags.Wire installs serve.Client.Run, which has
 	// exactly this signature, so wishbench and wishtune run against a
-	// wishsimd daemon or cluster coordinator through the same lab.
+	// wishsimd daemon or cluster coordinator through the same lab; a
+	// coordinator's own lab installs cluster.Coordinator.Run here.
 	// Store and memo behaviour are unchanged — backend results are
 	// persisted like local ones, so a remote campaign still warms the
-	// local store.
+	// local store, and a backend error is memoized like a local
+	// simulation failure unless it wraps ErrUnavailable.
 	Backend func(context.Context, Spec) (*cpu.Result, error)
 	// OnResult, when non-nil, observes every result this process
 	// acquires — fresh simulation, store hit, or backend call — exactly
@@ -144,9 +156,9 @@ func (l *Lab) ResultContext(ctx context.Context, s Spec) (*cpu.Result, error) {
 }
 
 // ResultKeyed is ResultContext for callers that already computed the
-// spec's key and hash (serve request handlers, campaign warm-up,
-// cluster shards): the memo probe and the store address reuse the
-// cached forms instead of re-deriving them per lookup.
+// spec's key and hash (serve request handlers, campaign warm-up): the
+// memo probe and the store address reuse the cached forms instead of
+// re-deriving them per lookup.
 func (l *Lab) ResultKeyed(ctx context.Context, k Keyed) (*cpu.Result, error) {
 	for {
 		l.mu.Lock()
@@ -174,12 +186,18 @@ func (l *Lab) ResultKeyed(ctx context.Context, k Keyed) (*cpu.Result, error) {
 		l.mu.Unlock()
 
 		e.res, e.err = l.produce(ctx, k)
-		if e.err != nil && isCancellation(e.err) {
+		switch {
+		case e.err == nil:
+		case isCancellation(e.err):
 			l.mu.Lock()
 			l.c.Canceled++
 			delete(l.entries, k.Key)
 			l.mu.Unlock()
 			e.removed = true
+		case errors.Is(e.err, ErrUnavailable):
+			l.mu.Lock()
+			delete(l.entries, k.Key)
+			l.mu.Unlock()
 		}
 		if e.err == nil && l.OnResult != nil {
 			// Before close(done): the result is journaled (or otherwise

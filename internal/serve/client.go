@@ -103,13 +103,21 @@ func (c *Client) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
 
 // Campaign executes a batch remotely and returns its items in request
 // order. Per-item failures are reported inside the items; the error
-// return covers transport- and batch-level failures only.
+// return covers transport- and batch-level failures only, and an
+// answer whose items do not carry their specs' keys, which is never a
+// partial batch.
 func (c *Client) Campaign(ctx context.Context, specs []lab.Spec) ([]api.CampaignItem, error) {
 	c.init()
 	req := api.CampaignRequest{Schema: api.Version, Specs: specs, TimeoutMs: timeoutMs(ctx)}
 	sink := &campaignSink{n: len(specs)}
 	if err := c.do(ctx, "/v1/campaign", req, sink); err != nil {
 		return nil, err
+	}
+	for i := range sink.items {
+		if got, want := sink.items[i].Key, specs[i].Key(); got != want {
+			return nil, fmt.Errorf("serve: server computed key %q for campaign item %d with key %q (wire-format skew?)",
+				got, i, want)
+		}
 	}
 	return sink.items, nil
 }
@@ -192,10 +200,11 @@ func (c *Client) do(ctx context.Context, path string, in, out any) error {
 
 // StatusError is a non-2xx answer. It keeps the status and the
 // server's Retry-After hint so callers that do their own routing — the
-// cluster coordinator re-homing a shard, or this client's backoff —
+// cluster coordinator re-homing a run, or this client's backoff —
 // can distinguish "the worker is overloaded" (429, wait Retry-After)
 // from "the worker is broken" (5xx, route around it) from "the request
-// is wrong" (4xx, give up).
+// is wrong" (4xx, give up). A lab Backend returns one to choose the
+// status the server answers with (Server's rejectRun).
 type StatusError struct {
 	Status     int
 	Msg        string

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,6 +129,90 @@ func TestClientKeyMismatchIsFatal(t *testing.T) {
 	cl := &Client{Base: ts.URL, Retries: -1}
 	if _, err := cl.Run(context.Background(), cheapSpec()); err == nil {
 		t.Fatal("key mismatch went undetected")
+	}
+}
+
+// TestCampaignHostileWorkerJSON: a server that answers a campaign 200
+// with garbage — syntactically invalid JSON, a body truncated
+// mid-stream, a valid body with the wrong item count, or items carrying
+// the wrong keys — must make Campaign return an error, never a partial
+// batch and never a fabricated result.
+func TestCampaignHostileWorkerJSON(t *testing.T) {
+	var specs []lab.Spec
+	for _, scale := range []float64{0.10, 0.20, 0.30} {
+		s := cheapSpec()
+		s.Scale = scale
+		specs = append(specs, s)
+	}
+
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		wantErr string
+	}{
+		{
+			name: "invalid-json",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write([]byte(`{"items": [{"key": not json at all!!`))
+			},
+			wantErr: "decode",
+		},
+		{
+			name: "truncated-body",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				// Promise a long body, deliver a prefix: the server
+				// kills the connection and the client sees an
+				// unexpected EOF mid-decode.
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Content-Length", "65536")
+				w.Write([]byte(`{"items":[{"key":"a`))
+			},
+			wantErr: "",
+		},
+		{
+			name: "wrong-item-count",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				api.WriteJSON(w, http.StatusOK, api.CampaignResponse{
+					Items: []api.CampaignItem{{Key: "only-one"}},
+				})
+			},
+			wantErr: "items",
+		},
+		{
+			name: "wrong-keys",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				var req api.CampaignRequest
+				json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+				items := make([]api.CampaignItem, len(req.Specs))
+				for i := range items {
+					items[i] = api.CampaignItem{Key: "imposter", Result: &cpu.Result{Cycles: 1}}
+				}
+				api.WriteJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
+			},
+			wantErr: "wire-format skew",
+		},
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.handler)
+			t.Cleanup(ts.Close)
+			cl := &Client{Base: ts.URL, Retries: 1, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+
+			items, err := cl.Campaign(ctx, specs)
+			if err == nil {
+				t.Fatalf("garbage answer accepted as %d items", len(items))
+			}
+			if items != nil {
+				t.Errorf("partial batch of %d items returned alongside %v", len(items), err)
+			}
+			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -29,6 +29,10 @@
 // backoff and seeded jitter on transport errors, 429, and 5xx, honours
 // Retry-After, and plugs directly into lab.Lab.Backend so wishbench
 // can run whole campaigns against a remote server (-server URL).
+//
+// A cluster coordinator (internal/cluster) is this same Server: its
+// lab's Backend routes each run to a worker, and a Backend's
+// *StatusError sets the status the server answers with.
 package serve
 
 import (
@@ -36,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -69,8 +74,10 @@ type Server struct {
 	// persistence; the memo table and store are shared by all clients
 	// of this server — that sharing is the reason the daemon exists.
 	Lab *lab.Lab
-	// Workers bounds concurrently executing simulations (<= 0 means
-	// runtime.NumCPU()).
+	// Workers bounds concurrently executing simulations (0 means
+	// runtime.NumCPU()). Negative means no bound: every admitted run
+	// executes at once and QueueDepth is moot. That is a coordinator's
+	// default, whose runs execute on workers that shed their own load.
 	Workers int
 	// QueueDepth bounds admitted-but-not-yet-running work beyond the
 	// worker pool. Admissions past Workers+QueueDepth answer 429
@@ -115,7 +122,7 @@ type Server struct {
 
 func (s *Server) init() {
 	s.once.Do(func() {
-		if s.Workers <= 0 {
+		if s.Workers == 0 {
 			s.Workers = runtime.NumCPU()
 		}
 		if s.QueueDepth == 0 {
@@ -126,7 +133,9 @@ func (s *Server) init() {
 		if s.MaxTimeout <= 0 {
 			s.MaxTimeout = DefaultMaxTimeout
 		}
-		s.slots = make(chan struct{}, s.Workers)
+		if s.Workers > 0 {
+			s.slots = make(chan struct{}, s.Workers)
+		}
 		s.started = time.Now()
 		s.reqs = make(map[string]uint64)
 		s.resps = make(map[string]uint64)
@@ -170,9 +179,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // admit reserves n units of queue capacity and registers the request
 // with the drain tracker. It returns a release func on success, or an
 // HTTP status (429 or 503) on rejection. The order — inflight.Add,
@@ -185,7 +191,7 @@ func (s *Server) admit(n int) (release func(), status int) {
 		s.inflight.Done()
 		return nil, http.StatusServiceUnavailable
 	}
-	if s.pending.Add(int64(n)) > int64(s.Workers+s.QueueDepth) {
+	if p := s.pending.Add(int64(n)); s.Workers > 0 && p > int64(s.Workers+s.QueueDepth) {
 		s.pending.Add(int64(-n))
 		s.inflight.Done()
 		return nil, http.StatusTooManyRequests
@@ -200,12 +206,14 @@ func (s *Server) admit(n int) (release func(), status int) {
 // caller computes the Keyed form once per request item; every memo and
 // store probe downstream reuses it.
 func (s *Server) execute(ctx context.Context, k lab.Keyed) (*cpu.Result, error) {
-	select {
-	case s.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if s.slots != nil {
+		select {
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.slots }()
 	}
-	defer func() { <-s.slots }()
 	t0 := time.Now()
 	res, err := s.Lab.ResultKeyed(ctx, k)
 	if err == nil {
@@ -241,7 +249,8 @@ func (s *Server) meanRunLatency() time.Duration {
 // retryAfterHint estimates, in whole seconds, how long a shed client
 // should wait before retrying: the time for the current backlog to
 // drain through the worker pool (pending runs × recent mean run
-// latency ÷ workers), clamped to [defaultRetryAfter, maxRetryAfter].
+// latency ÷ workers; one mean latency when nothing bounds the pool),
+// clamped to [defaultRetryAfter, maxRetryAfter].
 // Before any run has completed there is no latency signal and the
 // hint falls back to defaultRetryAfter.
 func (s *Server) retryAfterHint() int {
@@ -249,7 +258,10 @@ func (s *Server) retryAfterHint() int {
 	if mean <= 0 {
 		return defaultRetryAfter
 	}
-	drain := time.Duration(s.pending.Load()) * mean / time.Duration(s.Workers)
+	drain := mean
+	if s.Workers > 0 {
+		drain = time.Duration(s.pending.Load()) * mean / time.Duration(s.Workers)
+	}
 	secs := int((drain + time.Second - 1) / time.Second)
 	if secs < defaultRetryAfter {
 		return defaultRetryAfter
@@ -296,7 +308,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	k := req.Spec.Keyed()
 	res, err := s.execute(ctx, k)
 	if err != nil {
-		s.reject(w, runErrStatus(err), err.Error())
+		s.rejectRun(w, err)
 		return
 	}
 	if api.AcceptsType(r, api.BinaryContentType) {
@@ -367,7 +379,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // fanOut executes every item of a campaign concurrently (the worker
 // slots bound how many simulate at once) and hands each finished item
 // to emit with its request index, in completion order. emit runs on
-// the item's goroutine.
+// the item's goroutine. A failed item carries the text /v1/run would
+// answer for it: a Backend's *StatusError contributes its message, so
+// a coordinator's item says what the worker's item would have said.
 func (s *Server) fanOut(ctx context.Context, keyed []lab.Keyed, emit func(i int, item *api.CampaignItem)) {
 	var wg sync.WaitGroup
 	for i, k := range keyed {
@@ -376,9 +390,13 @@ func (s *Server) fanOut(ctx context.Context, keyed []lab.Keyed, emit func(i int,
 			defer wg.Done()
 			item := api.CampaignItem{Key: k.Key}
 			res, err := s.execute(ctx, k)
-			if err != nil {
+			var se *StatusError
+			switch {
+			case errors.As(err, &se):
+				item.Err = se.Msg
+			case err != nil:
 				item.Err = err.Error()
-			} else {
+			default:
 				item.Result = res
 			}
 			emit(i, &item)
@@ -435,6 +453,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.count("metrics")
+	s.writeJSON(w, http.StatusOK, s.Metrics())
+}
+
+// Metrics snapshots the /metrics body. A cluster coordinator reads it
+// for its own /healthz and /metrics views.
+func (s *Server) Metrics() api.Metrics {
+	s.init()
 	c := s.Lab.Counters()
 	m := api.Metrics{
 		Schema:         api.Version,
@@ -481,7 +506,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.Stalls[obs.Bucket(b).String()] = n
 	}
 	s.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, m)
+	return m
 }
 
 // injectFault applies the configured fault if this admission is the
@@ -504,14 +529,25 @@ func (s *Server) injectFault(w http.ResponseWriter) bool {
 	return true
 }
 
-// runErrStatus maps an execution error to a status: deadline/cancel →
-// 504 (the request's time budget ran out), anything else → 422 (the
-// spec was well-formed but the simulation failed, e.g. a cycle limit).
-func runErrStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout
+// rejectRun answers a failed run. A *StatusError from the lab's
+// Backend (a coordinator's routing verdict) keeps its status, and on
+// 429 and 503 its Retry-After, at least 1 s. Deadline or cancellation
+// is 504: the request's time budget ran out. Anything else is 422: the
+// spec was well-formed but the simulation failed, e.g. a cycle limit.
+func (s *Server) rejectRun(w http.ResponseWriter, err error) {
+	var se *StatusError
+	switch {
+	case errors.As(err, &se):
+		if se.Status == http.StatusTooManyRequests || se.Status == http.StatusServiceUnavailable {
+			secs := max(1, int(math.Ceil(se.RetryAfter.Seconds())))
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
+		}
+		s.reject(w, se.Status, se.Msg)
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.reject(w, http.StatusGatewayTimeout, err.Error())
+	default:
+		s.reject(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	return http.StatusUnprocessableEntity
 }
 
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {

@@ -158,6 +158,36 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
+// TestServeUnboundedWorkers: with Workers negative nothing is shed or
+// queued, even with no queue at all, so every admitted run executes at
+// once. A cluster coordinator runs this way: its runs execute on
+// workers that shed their own load.
+func TestServeUnboundedWorkers(t *testing.T) {
+	release := make(chan struct{})
+	l := lab.New()
+	l.Backend = scriptedBackend(release, 0)
+	srv := &Server{Lab: l, Workers: -1, QueueDepth: -1}
+	_, cl := newTestServer(t, srv)
+
+	const n = 3
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		spec := cheapSpec()
+		spec.Scale = 0.02 + 0.001*float64(i)
+		go func() {
+			_, err := cl.Run(context.Background(), spec)
+			errs <- err
+		}()
+	}
+	waitFor(t, func() bool { return l.InFlight() == n })
+	close(release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("run failed on an unbounded server: %v", err)
+		}
+	}
+}
+
 // TestServeGracefulDrain is the acceptance drain test: under load,
 // Drain completes every admitted request, refuses new ones with 503,
 // and returns within the drain deadline.
@@ -179,7 +209,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	go func() { drainDone <- srv.Drain(drainCtx) }()
-	waitFor(t, srv.Draining)
+	waitFor(t, srv.draining.Load)
 
 	// New work is refused with 503 (no retries: we want the raw answer).
 	spec := cheapSpec()
@@ -250,6 +280,36 @@ func TestServeRequestTimeout(t *testing.T) {
 		t.Fatalf("err = %v, want a 504", err)
 	}
 	waitFor(t, func() bool { return l.Counters().Canceled == 1 })
+}
+
+// TestServeBackendStatusPassesThrough: a Backend's *StatusError keeps
+// its status across the hop, with Retry-After (at least 1 s) on 429
+// and 503; any other Backend error is the spec's failure, 422.
+func TestServeBackendStatusPassesThrough(t *testing.T) {
+	for _, tc := range []struct {
+		err        error
+		status     int
+		retryAfter string
+	}{
+		{&StatusError{Status: http.StatusServiceUnavailable, Msg: "no workers", RetryAfter: 1500 * time.Millisecond}, 503, "2"},
+		{&StatusError{Status: http.StatusTooManyRequests, Msg: "full"}, 429, "1"},
+		{fmt.Errorf("routed: %w", &StatusError{Status: http.StatusBadGateway, Msg: "gone"}), 502, ""},
+		{errors.New("cycle limit"), 422, ""},
+	} {
+		l := lab.New()
+		l.Backend = func(context.Context, lab.Spec) (*cpu.Result, error) { return nil, tc.err }
+		ts, _ := newTestServer(t, &Server{Lab: l})
+		body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: cheapSpec()})
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || resp.Header.Get("Retry-After") != tc.retryAfter {
+			t.Errorf("backend error %v: answered %d (Retry-After %q), want %d (%q)",
+				tc.err, resp.StatusCode, resp.Header.Get("Retry-After"), tc.status, tc.retryAfter)
+		}
+	}
 }
 
 // TestServeCampaign: a batch comes back in request order with per-item

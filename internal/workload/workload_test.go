@@ -5,7 +5,6 @@ import (
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/emu"
-	"wishbranch/internal/prog"
 )
 
 // TestAllBenchmarksEquivalentAcrossVariants is the central correctness
@@ -96,30 +95,6 @@ func TestInputsDiffer(t *testing.T) {
 			results[key] = in
 		}
 		_ = src
-	}
-}
-
-// TestDisassemblyRoundTrips: every benchmark binary's disassembly must
-// re-parse into the identical instruction sequence (exercising the
-// prog assembler against real compiler output).
-func TestDisassemblyRoundTrips(t *testing.T) {
-	for _, b := range All() {
-		src, _ := b.Build(InputA, DefaultScale)
-		for _, v := range compiler.Variants() {
-			p := compiler.MustCompile(src, v)
-			p2, err := prog.Parse(p.Disassemble())
-			if err != nil {
-				t.Fatalf("%s/%v: %v", b.Name, v, err)
-			}
-			if len(p2.Code) != len(p.Code) {
-				t.Fatalf("%s/%v: length %d -> %d", b.Name, v, len(p.Code), len(p2.Code))
-			}
-			for i := range p.Code {
-				if p.Code[i] != p2.Code[i] {
-					t.Fatalf("%s/%v µop %d: %v != %v", b.Name, v, i, p.Code[i], p2.Code[i])
-				}
-			}
-		}
 	}
 }
 

@@ -8,7 +8,14 @@
 #   3. a fresh campaign survives SIGKILL of one worker mid-flight and
 #      its output is still byte-identical,
 #   4. /metrics reflects the death (live_workers drops, reroutes move),
-#   5. SIGTERM drains the coordinator cleanly and it exits 0.
+#   5. the coordinator negotiates encodings like a worker: the v1
+#      fixture run and campaign requests sent with the binary Accept
+#      headers come back as the binary result and the campaign stream,
+#   6. the cluster heals: with every worker SIGKILLed a run for an
+#      unseen key is 503 with Retry-After, and once one worker restarts
+#      on its old port the same request answers 200 within two probe
+#      intervals (a routing failure is not memoized),
+#   7. SIGTERM drains the coordinator cleanly and it exits 0.
 #
 # Runnable locally (./scripts/e2e_cluster.sh) and from CI. Needs curl;
 # uses jq when present and a grep fallback when not.
@@ -22,6 +29,8 @@ SCALE2=${E2E_SCALE2:-0.07}
 BASE_PORT=${E2E_PORT:-18091}
 COORD_PORT=$((BASE_PORT + 3))
 COORD="http://127.0.0.1:${COORD_PORT}"
+PROBE_MS=500
+FIXTURES=internal/api/testdata/v1
 
 WORK=$(mktemp -d)
 PIDS=()
@@ -65,18 +74,28 @@ echo "== build =="
 go build -o "$WORK/wishsimd" ./cmd/wishsimd
 go build -o "$WORK/wishbench" ./cmd/wishbench
 
-echo "== start 3 workers =="
+post() { # post PATH ACCEPT BODY_FILE OUT_FILE — prints "STATUS CONTENT_TYPE"
+  curl -sS -o "$4" -w '%{http_code} %{content_type}' -X POST \
+    -H 'Content-Type: application/json' -H "Accept: $2" \
+    --data-binary "@$3" "$COORD$1"
+}
+
 WORKER_URLS=()
 WORKER_PIDS=()
-for i in 0 1 2; do
-  port=$((BASE_PORT + i))
+start_worker() { # start_worker I — (re)start worker I on its port
+  local i=$1 pid port=$((BASE_PORT + $1))
   "$WORK/wishsimd" -addr "127.0.0.1:${port}" -cache-dir "$WORK/cache$i" \
-    -drain-timeout 60s >"$WORK/worker$i.log" 2>&1 &
+    -drain-timeout 60s >>"$WORK/worker$i.log" 2>&1 &
   pid=$!
   disown "$pid" # keep bash from printing "Killed" when SIGKILL reaps it
   PIDS+=("$pid")
-  WORKER_PIDS+=("$pid")
-  WORKER_URLS+=("http://127.0.0.1:${port}")
+  WORKER_PIDS[$i]=$pid
+  WORKER_URLS[$i]="http://127.0.0.1:${port}"
+}
+
+echo "== start 3 workers =="
+for i in 0 1 2; do
+  start_worker "$i"
 done
 for i in 0 1 2; do
   wait_healthy "${WORKER_URLS[$i]}" "worker $i"
@@ -85,7 +104,7 @@ done
 echo "== start coordinator on :$COORD_PORT =="
 "$WORK/wishsimd" -coordinator \
   -worker "$(IFS=,; echo "${WORKER_URLS[*]}")" \
-  -addr "127.0.0.1:${COORD_PORT}" -probe-interval 500ms \
+  -addr "127.0.0.1:${COORD_PORT}" -probe-interval "${PROBE_MS}ms" \
   -drain-timeout 60s -v >"$WORK/coordinator.log" 2>&1 &
 COORD_PID=$!
 PIDS+=("$COORD_PID")
@@ -109,6 +128,17 @@ for i in 0 1 2; do
 done
 echo "all 3 workers served shards"
 
+echo "== negotiation: v1 fixtures with binary Accept headers =="
+GOT=$(post /v1/run "application/x-wishbranch-result, application/json" \
+  "$FIXTURES/run_request.json" "$WORK/run.bin")
+[[ "$GOT" == "200 application/x-wishbranch-result"* ]] \
+  || fail "coordinator /v1/run answered '$GOT', want 200 application/x-wishbranch-result"
+GOT=$(post /v1/campaign "application/x-wishbranch-stream, application/json" \
+  "$FIXTURES/campaign_request.json" "$WORK/campaign.bin")
+[[ "$GOT" == "200 application/x-wishbranch-stream"* ]] \
+  || fail "coordinator /v1/campaign answered '$GOT', want 200 application/x-wishbranch-stream"
+echo "coordinator answers the binary result and the campaign stream"
+
 echo "== kill worker 1 mid-campaign (fresh scale $SCALE2), rerun =="
 "$WORK/wishbench" -exp "$EXP" -scale "$SCALE2" -cache-dir "" \
   >"$WORK/local2.out" 2>"$WORK/local2.err"
@@ -131,6 +161,35 @@ LIVE=$(metric live_workers)
 GEN=$(metric generation)
 [[ "$GEN" -ge 1 ]] || fail "membership generation is $GEN after a death, want >= 1"
 echo "metrics confirm the death: live_workers=$LIVE generation=$GEN reroutes=$(metric reroutes)"
+
+echo "== healing: kill every worker, then restart one =="
+kill -9 "${WORKER_PIDS[0]}" "${WORKER_PIDS[2]}" 2>/dev/null || true
+for i in $(seq 1 50); do
+  [[ "$(metric live_workers)" == 0 ]] && break
+  [[ $i -eq 50 ]] && fail "live_workers never reached 0 after every worker was killed"
+  sleep 0.1
+done
+# A key no earlier request used: the coordinator's memo cannot answer it.
+sed 's/"Scale": 0.5/"Scale": 0.013/' "$FIXTURES/run_request.json" >"$WORK/heal_request.json"
+HDRS=$(curl -sS -o /dev/null -D - -X POST -H 'Content-Type: application/json' \
+  --data-binary "@$WORK/heal_request.json" "$COORD/v1/run")
+grep -q '^HTTP/[0-9.]* 503' <<<"$HDRS" \
+  || fail "run against a dead cluster did not answer 503: $HDRS"
+grep -qi '^Retry-After: [1-9]' <<<"$HDRS" \
+  || fail "503 from a dead cluster carries no Retry-After: $HDRS"
+echo "dead cluster sheds with 503 + Retry-After"
+
+start_worker 0
+wait_healthy "${WORKER_URLS[0]}" "restarted worker 0"
+for i in $(seq 1 $((2 * PROBE_MS / 100))); do
+  [[ "$(metric live_workers)" == 1 ]] && break
+  [[ $i -eq $((2 * PROBE_MS / 100)) ]] \
+    && fail "live_workers is not 1 within two probe intervals of the restart"
+  sleep 0.1
+done
+GOT=$(post /v1/run application/json "$WORK/heal_request.json" "$WORK/heal.json")
+[[ "$GOT" == "200 "* ]] || fail "run after the restart answered '$GOT', want 200 (routing failure memoized?)"
+echo "cluster healed: live_workers=$(metric live_workers), the same run answers 200"
 
 echo "== SIGTERM: graceful coordinator drain =="
 kill -TERM "$COORD_PID"

@@ -8,10 +8,10 @@
 #   3. resume the completed campaign again and assert it runs
 #      0 fresh simulations.
 #
-# Part 2 — coordinator merge-progress checkpoint:
+# Part 2 — coordinator journal:
 #   4. SIGKILL a `wishsimd -coordinator -journal` mid-campaign,
 #   5. restart it on the same journal and assert it resumed frames,
-#      answers re-submitted work from the checkpoint
+#      answers re-submitted work from its replayed memo table
 #      (checkpoint_hits > 0), and the rerun output is byte-identical
 #      to a local run.
 #
