@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -45,7 +44,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", lab.DefaultDir(), "persistent result store directory (empty = disabled)")
 		disasm   = flag.Bool("disasm", false, "print the compiled binary and exit")
 		statsOut = flag.String("stats-out", "", "write a schema-versioned JSON stats snapshot to this file ('-' = stdout)")
-		statsCSV = flag.String("stats-csv", "", "write the stats snapshot as CSV to this file ('-' = stdout)")
 		traceN   = flag.Int("trace-events", 0, "trace the last N pipeline events (bypasses the result store)")
 	)
 	pf := cliflags.RegisterProfile(flag.CommandLine)
@@ -146,30 +144,24 @@ func main() {
 		ring.Fprint(os.Stdout)
 	}
 	if *statsOut != "" {
-		if werr := writeSnapshot(*statsOut, spec, res, (*obs.Snapshot).WriteJSON); werr != nil {
+		if werr := writeSnapshot(*statsOut, spec, res); werr != nil {
 			fail("stats-out: %v", werr)
-		}
-	}
-	if *statsCSV != "" {
-		if werr := writeSnapshot(*statsCSV, spec, res, (*obs.Snapshot).WriteCSV); werr != nil {
-			fail("stats-csv: %v", werr)
 		}
 	}
 }
 
-// writeSnapshot exports the run's stats snapshot to path ('-' =
-// stdout) in the format given by write.
-func writeSnapshot(path string, spec lab.Spec, res *cpu.Result,
-	write func(*obs.Snapshot, io.Writer) error) error {
+// writeSnapshot exports the run's stats snapshot as JSON to path
+// ('-' = stdout).
+func writeSnapshot(path string, spec lab.Spec, res *cpu.Result) error {
 	snap := spec.Snapshot(res)
 	if path == "-" {
-		return write(snap, os.Stdout)
+		return snap.WriteJSON(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(snap, f); err != nil {
+	if err := snap.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -11,7 +11,6 @@
 //	wishsimd -cache-dir /data/wishcache     # shared persistent store
 //	wishsimd -cache-dir ""                  # memory-only (memo table still shared)
 //	wishsimd -drain-timeout 2m              # SIGTERM drain budget
-//	wishsimd -fault error:3                 # deterministic fault injection (tests/CI)
 //	wishsimd -journal /data/wishjournal     # crash-safe result log, replayed on startup
 //	wishsimd -store-max-bytes 1073741824    # bound the store: LRU eviction at 1 GiB
 //
@@ -34,13 +33,13 @@
 // store: the same server, whose lab acquires each result it does not
 // hold by routing the spec's cache key to its home worker on the ring
 // (keeping every worker's memo table hot for its shard), with failover
-// to the next live node (see internal/cluster). -queue, -fault,
-// -max-timeout and -journal mean what they mean on a worker. -j is
-// different: a coordinator's routed runs execute on its workers, so
-// this host's CPU count says nothing about the fleet, and without -j
-// the coordinator bounds nothing itself and the workers' 429s are the
-// backpressure. An explicit -j N > 0 caps routed runs in flight at N
-// (failover backoff included) and admission at N + -queue.
+// to the next live node (see internal/cluster). -queue, -max-timeout
+// and -journal mean what they mean on a worker. -j is different: a
+// coordinator's routed runs execute on its workers, so this host's CPU
+// count says nothing about the fleet, and without -j the coordinator
+// bounds nothing itself and the workers' 429s are the backpressure. An
+// explicit -j N > 0 caps routed runs in flight at N (failover backoff
+// included) and admission at N + -queue.
 //
 // Endpoints: POST /v1/run, POST /v1/campaign, GET /healthz,
 // GET /metrics (see internal/serve). Responses default to JSON; a
@@ -87,7 +86,6 @@ func run() int {
 		storeMax     = flag.Int64("store-max-bytes", 0, "result store size bound with LRU-by-access eviction (0 = unbounded)")
 		maxTimeout   = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "ceiling (and default) for per-request deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long SIGTERM waits for in-flight runs")
-		faultSpec    = flag.String("fault", "", `deterministic fault injection: "error:N", "drop:N", or "delay:N:dur"`)
 
 		coordinator   = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
 		workerList    = flag.String("worker", "", "comma-separated worker base URLs (coordinator mode; repeatable via commas)")
@@ -108,12 +106,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "wishsimd: -coordinator needs at least one -worker URL")
 			return 2
 		}
-	}
-
-	fault, err := serve.ParseFault(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-		return 2
 	}
 
 	sched := lab.New()
@@ -173,7 +165,6 @@ func run() int {
 		Lab:        sched,
 		Workers:    workers,
 		MaxTimeout: *maxTimeout,
-		Fault:      fault,
 	}
 	if jnl != nil {
 		srv.JournalStats = jnl.Stats

@@ -93,7 +93,7 @@ func writeV1Corpus(t *testing.T) {
 	write("expect.json", mustJSON(exp))
 }
 
-func readFixture(t *testing.T, name string) []byte {
+func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(corpusDir(), name))
 	if err != nil {

@@ -1,10 +1,15 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"wishbranch/internal/cpu"
+	"wishbranch/internal/isa"
+	"wishbranch/internal/prog"
 )
 
 // TestDecodeRequest pins the one request decoder both servers use: a
@@ -42,4 +47,26 @@ func TestDecodeRequest(t *testing.T) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
+}
+
+// FuzzRunRequest feeds arbitrary bodies to the /v1/run decoder and the
+// validation behind it. For any body, DecodeRequest fails, or
+// Spec.Validate fails, or cpu.New builds the spec's machine without
+// panicking: a body that passes both checks must not be able to crash
+// a server before its first simulated cycle.
+func FuzzRunRequest(f *testing.F) {
+	seed := readFixture(f, "run_request.json")
+	f.Add(seed)
+	f.Add(bytes.Replace(seed, []byte(`"BTBEntries": 4096`), []byte(`"BTBEntries": 3`), 1))
+	halt := &prog.Program{Code: []isa.Inst{isa.Halt()}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req RunRequest
+		r := httptest.NewRequest("POST", "/v1/run", bytes.NewReader(body))
+		if DecodeRequest(httptest.NewRecorder(), r, &req, &req.Schema) != nil || req.Spec.Validate() != nil {
+			return
+		}
+		if _, err := cpu.New(req.Spec.Machine, halt, nil); err != nil {
+			t.Fatalf("cpu.New rejected a validated machine: %v", err)
+		}
+	})
 }

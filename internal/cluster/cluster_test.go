@@ -460,6 +460,49 @@ func TestClusterBadRequests(t *testing.T) {
 	}
 }
 
+// TestClusterSurvivesPoisonSpec: a spec whose machine the simulator
+// cannot build (a BTB geometry NewBTB panics on) is a 400 at the
+// coordinator on both endpoints. It must not reach the ring: a worker
+// that died of it would read as a transport error and the spec would be
+// rerouted until every worker was dead. Afterwards all three workers
+// are live and the cluster serves a real simulation.
+func TestClusterSurvivesPoisonSpec(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		urls = append(urls, startWorker(t, lab.New()).URL)
+	}
+	_, cl, ts := startCluster(t, urls, nil)
+	poison := testSpec(0.02)
+	poison.Machine.BTBEntries = 3
+	run, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: poison})
+	campaign, _ := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: []lab.Spec{poison}})
+	for _, req := range []struct{ path, body string }{{"/v1/run", string(run)}, {"/v1/campaign", string(campaign)}} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", bytes.NewReader([]byte(req.body)))
+		if err != nil {
+			t.Fatalf("poison spec on %s: %v", req.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("poison spec on %s: status %d, want 400", req.path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m api.ClusterMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.LiveWorkers != 3 {
+		t.Errorf("live_workers = %d after the poison spec, want 3", m.LiveWorkers)
+	}
+	if _, err := cl.Run(context.Background(), testSpec(0.02)); err != nil {
+		t.Fatalf("good spec after the poison one: %v", err)
+	}
+}
+
 // TestClusterRecoversHealedWorker: a worker that answers 500 is marked
 // dead and the run fails; once it heals and a probe sees it, the same
 // spec succeeds. The failure must not be memoized by the coordinator's

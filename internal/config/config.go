@@ -5,6 +5,8 @@
 package config
 
 import (
+	"fmt"
+
 	"wishbranch/internal/bpred"
 	"wishbranch/internal/cache"
 	"wishbranch/internal/conf"
@@ -158,17 +160,59 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// Validate sanity-checks the configuration.
+// maxScale is how far past the largest value any machine in this
+// repository uses (DefaultMachine, the experiment sweeps, the tuner's
+// grid) a sizing field may go. Each such field sizes an allocation in
+// cpu.New, so the bound caps what one spec can make a server allocate.
+const maxScale = 16
+
+// Validate checks the configuration before a simulator is built. It
+// runs the contract of every constructor cpu.New calls — bpred.NewHybrid,
+// NewBTB, NewRAS, NewIndirectCache, NewLoopPredictor, conf.NewJRS and
+// cache.New each panic on a violation — and bounds every field that
+// sizes an allocation at maxScale times the largest value in use, so a
+// spec from outside the process is a 400 at the API boundary rather
+// than a panic or an out-of-memory death mid-simulation.
 func (m *Machine) Validate() error {
-	switch {
-	case m.FetchWidth <= 0 || m.IssueWidth <= 0 || m.RetireWidth <= 0:
-		return errBad("width")
-	case m.ROBSize <= 0:
-		return errBad("ROB size")
-	case m.FrontEndDepth <= 0:
-		return errBad("front-end depth")
-	case m.MaxCondBrPerCycle <= 0:
-		return errBad("cond branches per cycle")
+	for _, f := range [...]struct {
+		what       string
+		v, largest int
+		pow2       bool
+	}{
+		{"fetch width", m.FetchWidth, 8, false},
+		{"issue width", m.IssueWidth, 8, false},
+		{"retire width", m.RetireWidth, 8, false},
+		{"cond branches per cycle", m.MaxCondBrPerCycle, 3, false},
+		{"ROB size", m.ROBSize, 512, false},
+		{"front-end depth", m.FrontEndDepth, 28, false},
+		{"gshare PHT entries", m.Hybrid.GsharePHTEntries, 64 << 10, true},
+		{"PAs PHT entries", m.Hybrid.PAsPHTEntries, 64 << 10, true},
+		{"PAs local history entries", m.Hybrid.PAsLocalEntries, 4 << 10, true},
+		{"selector entries", m.Hybrid.SelectorEntries, 64 << 10, true},
+		{"BTB entries", m.BTBEntries, 4 << 10, true},
+		{"RAS depth", m.RASDepth, 64, false},
+		{"indirect cache entries", m.IndirectEntries, 64 << 10, true},
+		{"JRS entries", m.JRS.Entries, 1 << 10, true},
+	} {
+		if err := checkSize(f.what, f.v, f.largest, f.pow2); err != nil {
+			return err
+		}
+	}
+	if m.BTBWays <= 0 || m.BTBEntries%m.BTBWays != 0 {
+		return fmt.Errorf("config: invalid BTB ways %d for %d entries", m.BTBWays, m.BTBEntries)
+	}
+	if m.UseLoopPredictor {
+		if err := checkSize("loop predictor entries", m.LoopPredEntries, 256, true); err != nil {
+			return err
+		}
+	}
+	for _, c := range [...]struct {
+		level string
+		cfg   cache.Config
+	}{{"L1I", m.Caches.L1I}, {"L1D", m.Caches.L1D}, {"L2", m.Caches.L2}} {
+		if err := checkCache(c.level, c.cfg); err != nil {
+			return err
+		}
 	}
 	// The estimator geometry rides inside the machine; validating it
 	// here means every lab.Spec carrying a tuner-proposed JRSConfig is
@@ -177,8 +221,37 @@ func (m *Machine) Validate() error {
 	return m.JRS.Validate()
 }
 
-type configError string
+// checkCache runs cache.New's contract on one level and bounds its
+// size, line size, line count (what the level allocates) and banks.
+func checkCache(level string, c cache.Config) error {
+	if err := checkSize(level+" size", c.SizeBytes, 1<<20, false); err != nil {
+		return err
+	}
+	if err := checkSize(level+" line size", c.LineBytes, 64, true); err != nil {
+		return err
+	}
+	if err := checkSize(level+" banks", max(c.Banks, 1), 8, true); err != nil {
+		return err
+	}
+	lines := c.SizeBytes / c.LineBytes
+	if err := checkSize(level+" line count", lines, 16<<10, false); err != nil {
+		return err
+	}
+	if c.Ways <= 0 || lines%c.Ways != 0 || (lines/c.Ways)&(lines/c.Ways-1) != 0 {
+		return fmt.Errorf("config: invalid %s ways %d: %d lines need a power-of-two set count", level, c.Ways, lines)
+	}
+	return nil
+}
 
-func (e configError) Error() string { return "config: invalid " + string(e) }
-
-func errBad(what string) error { return configError(what) }
+// checkSize rejects a sizing field that is not positive, is past
+// maxScale times the largest value in use, or (when pow2) is not the
+// power of two its table's index mask needs.
+func checkSize(what string, v, largest int, pow2 bool) error {
+	if limit := maxScale * largest; v <= 0 || v > limit {
+		return fmt.Errorf("config: invalid %s %d (want 1..%d)", what, v, limit)
+	}
+	if pow2 && v&(v-1) != 0 {
+		return fmt.Errorf("config: invalid %s %d (want a power of two)", what, v)
+	}
+	return nil
+}

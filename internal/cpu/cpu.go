@@ -173,7 +173,7 @@ func New(cfg *config.Machine, p *prog.Program, init func(*emu.Memory)) (*CPU, er
 		fq:            make([]*uop, cfg.FrontEndDepth*cfg.FetchWidth+cfg.FetchWidth),
 		rob:           make([]*uop, cfg.ROBSize),
 		storeWriter:   newStoreTab(cfg.ROBSize),
-		brTab:         obs.NewBranchTableN(len(p.Code)),
+		brTab:         obs.NewBranchTable(len(p.Code)),
 	}
 	if cfg.UseLoopPredictor {
 		c.lp = bpred.NewLoopPredictor(cfg.LoopPredEntries)

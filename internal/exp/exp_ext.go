@@ -19,7 +19,6 @@ import (
 // avgJJL returns the average normalized execution time of the wish
 // jump/join/loop binary under machine m (AVG and AVGnomcf).
 func avgJJL(l *Lab, m *config.Machine) (avg, avgNoMcf float64, err error) {
-	l.Warm(avgJJLSpecs(l, m))
 	var all, nomcf []float64
 	for _, bench := range BenchNames() {
 		n, err := l.Norm(bench, workload.InputA, compiler.WishJumpJoinLoop, m, m)

@@ -18,7 +18,6 @@ import (
 // on input A most prominently — it hurts, and the winner flips with the
 // input set.
 func Fig1(l *Lab, w io.Writer) error {
-	l.Warm(fig1Runs(l))
 	t := stats.NewTable("Execution time of predicated (BASE-MAX) binary normalized to normal binary",
 		"benchmark", "input-A", "input-B", "input-C")
 	m := config.DefaultMachine()
@@ -43,7 +42,6 @@ func Fig1(l *Lab, w io.Writer) error {
 // NO-FETCH), and the normal binary under perfect conditional branch
 // prediction (PERFECT-CBP). Normalized to the normal binary.
 func Fig2(l *Lab, w io.Writer) error {
-	l.Warm(fig2Runs(l))
 	base, noDep, noFetch, perfect := fig2Machines()
 
 	t := stats.NewTable("Execution time normalized to normal binary (input A)",
@@ -108,7 +106,6 @@ type series struct {
 }
 
 func mainComparison(l *Lab, w io.Writer, title string, ss []series, m *config.Machine) error {
-	l.Warm(seriesSpecs(l, ss, m))
 	cols := []string{"benchmark"}
 	for _, s := range ss {
 		cols = append(cols, s.name)

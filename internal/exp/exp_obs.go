@@ -68,7 +68,6 @@ func (l *Lab) snapshot(bench string, v compiler.Variant, m *config.Machine) (*ob
 // offending branches per benchmark, ranked by attributed flush-recovery
 // cycles.
 func ObsStalls(l *Lab, w io.Writer) error {
-	l.Warm(obsRuns(l))
 	m := config.DefaultMachine()
 
 	cols := []string{"benchmark"}

@@ -113,7 +113,6 @@ func Table3(l *Lab, w io.Writer) error {
 // Table4 reproduces Table 4: dynamic µop counts, branch counts,
 // misprediction rates, and wish branch populations.
 func Table4(l *Lab, w io.Writer) error {
-	l.Warm(table4Runs(l))
 	m := config.DefaultMachine()
 	t := stats.NewTable("Simulated benchmark characteristics (input A, baseline machine)",
 		"benchmark", "dyn µops", "static br", "dyn br", "mispred/1Kµops",
@@ -181,7 +180,6 @@ func pctInt(part, whole int) string {
 // benchmark — the last comparison being "unrealistic" in the paper's
 // words, since no compiler can pick the best binary ahead of time.
 func Table5(l *Lab, w io.Writer) error {
-	l.Warm(table5Runs(l))
 	m := config.DefaultMachine()
 	t := stats.NewTable("Execution-time reduction of wish-jjl binary (real confidence, input A)",
 		"benchmark", "vs normal", "vs best predicated", "vs best non-wish", "best binary")

@@ -93,7 +93,7 @@ func TestFastExperimentsProduceOutput(t *testing.T) {
 			t.Fatalf("missing %s", id)
 		}
 		var buf bytes.Buffer
-		if err := e.Run(l, &buf); err != nil {
+		if err := Run(e, l, &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		out := buf.String()

@@ -15,7 +15,6 @@ import (
 // million retired µops in the wish jump/join binary, split by
 // confidence estimate (low/high) and prediction outcome.
 func Fig11(l *Lab, w io.Writer) error {
-	l.Warm(fig11Runs(l))
 	m := config.DefaultMachine()
 	t := stats.NewTable("Dynamic wish branches per 1M retired µops (wish-jj binary, input A)",
 		"benchmark", "low (mispred)", "low (correct)", "high (mispred)", "high (correct)")
@@ -49,7 +48,6 @@ func Fig11(l *Lab, w io.Writer) error {
 // mispredictions classified early-exit / late-exit / no-exit. Late-exit
 // is the case where a wish loop beats a normal backward branch (§3.2).
 func Fig13(l *Lab, w io.Writer) error {
-	l.Warm(fig13Runs(l))
 	m := config.DefaultMachine()
 	t := stats.NewTable("Dynamic wish loops per 1M retired µops (wish-jjl binary, input A)",
 		"benchmark", "low no-exit", "low late-exit", "low early-exit", "low correct",
@@ -92,9 +90,6 @@ func sweep(l *Lab, w io.Writer, dim string, points []int,
 	mk func(*config.Machine, int) *config.Machine) error {
 	base := config.DefaultMachine()
 	ss := sweepSeries
-	for _, pt := range points {
-		l.Warm(seriesSpecs(l, ss, mk(base, pt)))
-	}
 	for _, avgKind := range []string{"AVG", "AVGnomcf"} {
 		cols := []string{dim}
 		for _, s := range ss {

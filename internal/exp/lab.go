@@ -133,7 +133,8 @@ type Experiment struct {
 	Runs func(l *Lab) []lab.Spec
 	// Run renders the table or figure. It reads every simulation
 	// through l serially, so its output does not depend on how Runs
-	// was scheduled.
+	// was scheduled. It warms nothing itself: call the package-level
+	// Run, which warms Runs in parallel first.
 	Run func(l *Lab, w io.Writer) error
 }
 

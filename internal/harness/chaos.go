@@ -4,8 +4,8 @@ package harness
 // under seeded chaos. Each check stands up an in-process fleet of real
 // serve.Server workers behind httptest listeners, fronts them with a
 // real cluster.Coordinator + Registry, derives a deterministic chaos
-// schedule from the seed — per-worker fault injection windows reusing
-// the daemon's `-fault` machinery, plus at most one mid-campaign
+// schedule from the seed — per-worker fault injection windows set on
+// each server's serve.Fault hook, plus at most one mid-campaign
 // worker kill — runs a campaign through the coordinator's wire API,
 // and demands every item byte-identical to a local simulation of the
 // same spec. Faults are the coordinator's job to survive: a schedule

@@ -45,8 +45,9 @@ const (
 	PNone PReg = 0xFF
 )
 
-// InstBytes is the size of one encoded µop in bytes; PCs advance by this
-// amount. With 64-byte I-cache lines this yields 16 µops per line.
+// InstBytes is the architectural fetch footprint of one µop in bytes;
+// PCs advance by this amount. With 64-byte I-cache lines this yields
+// 16 µops per line.
 const InstBytes = 4
 
 // Op enumerates µop opcodes.

@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"strings"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestConstructorsValid(t *testing.T) {
 	cases := []Inst{
@@ -160,68 +156,6 @@ func TestInvalidInstructions(t *testing.T) {
 		if err := in.Valid(); err == nil {
 			t.Errorf("Valid() accepted %+v", in)
 		}
-	}
-}
-
-// TestEncodeDecodeRoundTrip checks the Figure 7 encoding round-trips
-// arbitrary valid instructions (property-based).
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(op uint8, guard, pd, pd2, ps1, ps2 uint8, dst, s1, s2 uint8, imm int32, cc uint8, useImm bool, wish bool, wt uint8) bool {
-		in := Inst{
-			Op:     Op(op % uint8(numOps)),
-			Guard:  PReg(guard % NumPredRegs),
-			Dst:    Reg(dst % NumIntRegs),
-			Src1:   Reg(s1 % NumIntRegs),
-			Src2:   Reg(s2 % NumIntRegs),
-			CC:     CmpCond(cc % uint8(numCmpConds)),
-			PDst:   PReg(pd % NumPredRegs),
-			PDst2:  PReg(pd2 % NumPredRegs),
-			PSrc1:  PReg(ps1 % NumPredRegs),
-			PSrc2:  PReg(ps2 % NumPredRegs),
-			Imm:    int64(imm),
-			UseImm: useImm,
-			WType:  WType(wt % 3),
-		}
-		if wish {
-			in.BType = BWish
-		}
-		if in.Op == OpBr || in.Op == OpCall {
-			// Direct branches carry a target instead of an immediate;
-			// indirect ones (JmpInd/Ret) read theirs from a register.
-			in.Target = int(uint32(imm) % (1 << 20))
-			in.Imm = 0
-		} else if in.IsBranch() {
-			in.Imm = 0
-			in.Target = 0
-		}
-		if in.Valid() != nil {
-			return true // skip invalid combinations
-		}
-		var buf [EncodedBytes]byte
-		if err := in.Encode(buf[:]); err != nil {
-			t.Logf("encode %v: %v", in, err)
-			return false
-		}
-		out, err := Decode(buf[:])
-		if err != nil {
-			t.Logf("decode %v: %v", in, err)
-			return false
-		}
-		return out == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeRejectsHugeImmediate(t *testing.T) {
-	in := MovI(1, 1<<50)
-	var buf [EncodedBytes]byte
-	if err := in.Encode(buf[:]); err == nil {
-		t.Error("Encode accepted a 50-bit immediate")
-	}
-	if err := in.Encode(buf[:2]); err == nil || !strings.Contains(err.Error(), "buffer") {
-		t.Errorf("Encode with short buffer: %v", err)
 	}
 }
 

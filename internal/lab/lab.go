@@ -251,13 +251,7 @@ func (l *Lab) produce(ctx context.Context, k Keyed) (*cpu.Result, error) {
 	l.running++
 	l.mu.Unlock()
 	t0 := time.Now()
-	var res *cpu.Result
-	var err error
-	if l.Backend != nil {
-		res, err = l.Backend(ctx, s)
-	} else {
-		res, err = s.SimulateContext(ctx)
-	}
+	res, err := l.acquire(ctx, s)
 	simTime := time.Since(t0)
 	l.mu.Lock()
 	l.running--
@@ -279,6 +273,22 @@ func (l *Lab) produce(ctx context.Context, k Keyed) (*cpu.Result, error) {
 	}
 	l.note(s, res, simTime, &l.c.Fresh, "ran")
 	return res, nil
+}
+
+// acquire runs the Backend, or simulates locally without one. A panic
+// in either becomes this key's error: one poison spec fails its own
+// item instead of killing the process or orphaning the memo entry its
+// waiters block on.
+func (l *Lab) acquire(ctx context.Context, s Spec) (res *cpu.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("lab: %s: panic: %v", s, p)
+		}
+	}()
+	if l.Backend != nil {
+		return l.Backend(ctx, s)
+	}
+	return s.SimulateContext(ctx)
 }
 
 // note bumps a counter and emits one progress line. simTime is the

@@ -2,13 +2,16 @@ package lab
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wishbranch/internal/compiler"
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/workload"
 )
 
@@ -106,6 +109,35 @@ func TestLabErrorsAreMemoizedAndCounted(t *testing.T) {
 	l2.Warm([]Spec{bad})
 	if c := l2.Counters(); c.Errors != 1 {
 		t.Errorf("warm errors = %d, want 1", c.Errors)
+	}
+}
+
+// TestLabContainsPanickingProducer: a Backend that panics fails its
+// key, not the process. The panic comes back as the key's error, which
+// is memoized and counted; a second request returns it at once instead
+// of blocking on an orphaned memo entry; the in-flight gauge is back
+// at zero.
+func TestLabContainsPanickingProducer(t *testing.T) {
+	l := New()
+	var calls int
+	l.Backend = func(context.Context, Spec) (*cpu.Result, error) {
+		calls++
+		panic("poison spec")
+	}
+	s := cheapSpec()
+	if _, err := l.ResultContext(context.Background(), s); err == nil || !strings.Contains(err.Error(), "poison spec") {
+		t.Fatalf("err = %v, want the panic as the key's error", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := l.ResultContext(ctx, s); err == nil || ctx.Err() != nil {
+		t.Fatalf("second request: err = %v (ctx %v), want the memoized error at once", err, ctx.Err())
+	}
+	if calls != 1 || l.InFlight() != 0 {
+		t.Errorf("backend calls = %d, in flight = %d; want 1 and 0", calls, l.InFlight())
+	}
+	if c := l.Counters(); c.Errors != 1 || c.MemHits != 1 {
+		t.Errorf("counters = %+v, want 1 error and 1 memo hit", c)
 	}
 }
 

@@ -135,29 +135,20 @@ type BranchStat struct {
 	ConfLow     uint64 `json:"conf_low"`
 }
 
-// BranchTable accumulates BranchStats by static PC during a run. Two
-// backings exist: a sparse map (NewBranchTable, for callers without a
-// known PC universe) and a dense PC-indexed array (NewBranchTableN,
-// used by the simulator hot path — programs are small and PC-dense, so
-// At becomes an array load and never allocates after construction).
-// Both produce identical Sorted output: the sort order is total (ties
-// broken by PC), so the backing cannot leak into results.
+// BranchTable accumulates BranchStats by static PC during a run. It is
+// a dense PC-indexed array: programs are small and PC-dense, so At is
+// an array load and never allocates after construction. Sorted output
+// does not depend on first-use order: the sort order is total (ties
+// broken by PC).
 type BranchTable struct {
-	m map[int]*BranchStat
-
 	dense   []BranchStat
 	seen    []bool
 	touched []int32 // PCs with records, in first-use order
 }
 
-// NewBranchTable returns an empty sparse table.
-func NewBranchTable() *BranchTable {
-	return &BranchTable{m: make(map[int]*BranchStat)}
-}
-
-// NewBranchTableN returns an empty dense table covering PCs [0, n).
+// NewBranchTable returns an empty table covering PCs [0, n).
 // All storage is allocated up front; At never allocates.
-func NewBranchTableN(n int) *BranchTable {
+func NewBranchTable(n int) *BranchTable {
 	return &BranchTable{
 		dense:   make([]BranchStat, n),
 		seen:    make([]bool, n),
@@ -167,45 +158,26 @@ func NewBranchTableN(n int) *BranchTable {
 
 // At returns the record for pc, creating it on first use.
 func (t *BranchTable) At(pc int) *BranchStat {
-	if t.dense != nil {
-		if !t.seen[pc] {
-			t.seen[pc] = true
-			t.dense[pc].PC = pc
-			t.touched = append(t.touched, int32(pc))
-		}
-		return &t.dense[pc]
+	if !t.seen[pc] {
+		t.seen[pc] = true
+		t.dense[pc].PC = pc
+		t.touched = append(t.touched, int32(pc))
 	}
-	r := t.m[pc]
-	if r == nil {
-		r = &BranchStat{PC: pc}
-		t.m[pc] = r
-	}
-	return r
+	return &t.dense[pc]
 }
 
 // Len returns the number of static branches recorded.
 func (t *BranchTable) Len() int {
-	if t.dense != nil {
-		return len(t.touched)
-	}
-	return len(t.m)
+	return len(t.touched)
 }
 
 // Sorted flattens the table deterministically: most flush cycles
 // first, then most mispredicts, then lowest PC — the "top offending
 // branches" order.
 func (t *BranchTable) Sorted() []BranchStat {
-	var out []BranchStat
-	if t.dense != nil {
-		out = make([]BranchStat, 0, len(t.touched))
-		for _, pc := range t.touched {
-			out = append(out, t.dense[pc])
-		}
-	} else {
-		out = make([]BranchStat, 0, len(t.m))
-		for _, r := range t.m {
-			out = append(out, *r)
-		}
+	out := make([]BranchStat, 0, len(t.touched))
+	for _, pc := range t.touched {
+		out = append(out, t.dense[pc])
 	}
 	// Insertion sort: tables are small (static branch count) and this
 	// avoids pulling in sort for a leaf package hot path.
@@ -225,20 +197,4 @@ func branchLess(a, b BranchStat) bool {
 		return a.Mispredicts > b.Mispredicts
 	}
 	return a.PC < b.PC
-}
-
-// FlushCycleSum sums per-branch flush-cycle attribution; by the
-// accounting identity it equals the FlushRecovery bucket.
-func (t *BranchTable) FlushCycleSum() uint64 {
-	var s uint64
-	if t.dense != nil {
-		for _, pc := range t.touched {
-			s += t.dense[pc].FlushCycles
-		}
-		return s
-	}
-	for _, r := range t.m {
-		s += r.FlushCycles
-	}
-	return s
 }

@@ -37,42 +37,12 @@ func TestAccountingTotalAndShare(t *testing.T) {
 	}
 }
 
+// TestBranchTableSortedAndSums drives the table through an
+// interleaved first-use order with ties in every sort key, so an
+// ordering bug surfaces, and checks the sorted order, the per-branch
+// sums, and the flush-cycle total over Sorted().
 func TestBranchTableSortedAndSums(t *testing.T) {
-	tab := NewBranchTable()
-	tab.At(30).FlushCycles = 10
-	tab.At(10).FlushCycles = 100
-	tab.At(20).FlushCycles = 10
-	tab.At(20).Mispredicts = 5
-	tab.At(40) // zero record
-	if tab.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tab.Len())
-	}
-	if tab.FlushCycleSum() != 120 {
-		t.Errorf("flush cycle sum = %d, want 120", tab.FlushCycleSum())
-	}
-	got := tab.Sorted()
-	wantPCs := []int{10, 20, 30, 40} // cycles desc, then mispredicts desc, then pc asc
-	for i, want := range wantPCs {
-		if got[i].PC != want {
-			t.Fatalf("sorted order = %v, want PCs %v", got, wantPCs)
-		}
-	}
-	// At returns the same record on re-lookup.
-	if tab.At(10).FlushCycles != 100 {
-		t.Error("At did not return the existing record")
-	}
-}
-
-// TestBranchTableBackingsEquivalent drives the sparse (map) and dense
-// (PC-indexed array) backings through the same operation sequence and
-// requires identical observable output — the property that lets the
-// simulator hot path use the allocation-free dense variant without
-// the backing leaking into results.
-func TestBranchTableBackingsEquivalent(t *testing.T) {
-	sparse := NewBranchTable()
-	dense := NewBranchTableN(64)
-	// Deliberately interleaved first-use order and ties in every sort
-	// key, so ordering bugs in either backing surface.
+	tab := NewBranchTable(64)
 	ops := []struct {
 		pc          int
 		flush, misp uint64
@@ -81,24 +51,36 @@ func TestBranchTableBackingsEquivalent(t *testing.T) {
 		{10, 0, 1}, {5, 10, 5}, {63, 10, 0},
 	}
 	for _, op := range ops {
-		for _, tab := range []*BranchTable{sparse, dense} {
-			r := tab.At(op.pc)
-			r.FlushCycles += op.flush
-			r.Mispredicts += op.misp
-			r.Retired++
+		r := tab.At(op.pc)
+		r.FlushCycles += op.flush
+		r.Mispredicts += op.misp
+		r.Retired++
+	}
+	if tab.Len() != 6 {
+		t.Fatalf("len = %d, want 6", tab.Len())
+	}
+	got := tab.Sorted()
+	// Cycles desc, then mispredicts desc, then pc asc.
+	wantPCs := []int{10, 5, 20, 30, 63, 40}
+	if len(got) != len(wantPCs) {
+		t.Fatalf("sorted = %v, want PCs %v", got, wantPCs)
+	}
+	var flushSum uint64
+	for i, want := range wantPCs {
+		if got[i].PC != want {
+			t.Fatalf("sorted order = %v, want PCs %v", got, wantPCs)
 		}
+		flushSum += got[i].FlushCycles
 	}
-	if sparse.Len() != dense.Len() {
-		t.Fatalf("Len: sparse %d, dense %d", sparse.Len(), dense.Len())
+	if flushSum != 140 {
+		t.Errorf("flush cycle sum over Sorted() = %d, want 140", flushSum)
 	}
-	if sparse.FlushCycleSum() != dense.FlushCycleSum() {
-		t.Fatalf("FlushCycleSum: sparse %d, dense %d", sparse.FlushCycleSum(), dense.FlushCycleSum())
+	if r := got[0]; r.FlushCycles != 100 || r.Mispredicts != 3 || r.Retired != 2 {
+		t.Errorf("pc 10 = %+v, want 100 flush cycles, 3 mispredicts, 2 retired", r)
 	}
-	s, d := sparse.Sorted(), dense.Sorted()
-	for i := range s {
-		if s[i] != d[i] {
-			t.Fatalf("Sorted[%d]: sparse %+v, dense %+v", i, s[i], d[i])
-		}
+	// At returns the same record on re-lookup.
+	if tab.At(10).FlushCycles != 100 {
+		t.Error("At did not return the existing record")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // SnapshotSchema versions the machine-readable stats export. Bump it
 // whenever a field changes meaning, the stall taxonomy is reordered or
 // extended, or a consumer could otherwise misread an old file as a new
-// one. Readers reject foreign schemas instead of guessing.
+// one. Validate rejects foreign schemas instead of guessing.
 const SnapshotSchema = 1
 
 // BucketStat is one stall-taxonomy row of a snapshot: the bucket's
@@ -129,68 +129,5 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	}
 	data = append(data, '\n')
 	_, err = w.Write(data)
-	return err
-}
-
-// ReadSnapshot decodes and validates one snapshot. Corrupt input, a
-// foreign schema, missing required fields, or a violated accounting
-// identity are all errors — a reader never silently consumes a record
-// it could misinterpret.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("obs: decode snapshot: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// WriteCSV emits the snapshot flattened to metric,value rows (long
-// format): scalars first, then stall buckets as stall.<name>, caches
-// as cache.<level>.<field>, and the top branches as
-// branch.<rank>.<field>. The row order is fixed.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	var err error
-	row := func(metric string, value interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "%s,%v\n", metric, value)
-		}
-	}
-	row("metric", "value")
-	row("schema", s.Schema)
-	row("bench", s.Bench)
-	row("input", s.Input)
-	row("variant", s.Variant)
-	row("machine", s.Machine)
-	row("cycles", s.Cycles)
-	row("retired_uops", s.RetiredUops)
-	row("prog_uops", s.ProgUops)
-	row("fetched_uops", s.FetchedUops)
-	row("squashed", s.Squashed)
-	row("cond_branches", s.CondBranches)
-	row("mispred_cond_branches", s.MispredCondBr)
-	row("flushes", s.Flushes)
-	row("btb_miss_bubbles", s.BTBMissBubbles)
-	row("upc", s.UPC)
-	row("mispred_per_1k_uops", s.MispredPer1K)
-	for _, st := range s.Stalls {
-		row("stall."+st.Name, st.Cycles)
-	}
-	for _, c := range s.Caches {
-		row("cache."+c.Level+".accesses", c.Accesses)
-		row("cache."+c.Level+".misses", c.Misses)
-	}
-	for i, b := range s.Branches {
-		p := fmt.Sprintf("branch.%d.", i)
-		row(p+"pc", b.PC)
-		row(p+"mispredicts", b.Mispredicts)
-		row(p+"flushes", b.Flushes)
-		row(p+"flush_cycles", b.FlushCycles)
-	}
 	return err
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -95,8 +96,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	first := buf.String()
 
-	s, err := ReadSnapshot(strings.NewReader(first))
-	if err != nil {
+	var s Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
 		t.Fatal(err)
 	}
 	var buf2 bytes.Buffer
@@ -108,10 +109,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRejectsCorrupt mirrors the lab store's corruption
-// table: every damaged or foreign record must be rejected with an
-// error, never silently consumed.
-func TestReadSnapshotRejectsCorrupt(t *testing.T) {
+// TestSnapshotValidateRejectsCorrupt mirrors the lab store's
+// corruption table: every foreign or semantically damaged snapshot
+// decodes as JSON but must fail Validate, never be silently consumed.
+func TestSnapshotValidateRejectsCorrupt(t *testing.T) {
 	var buf bytes.Buffer
 	if err := fixtureSnapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -122,9 +123,6 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 		name string
 		mut  func(s string) string
 	}{
-		{"truncated", func(s string) string { return s[:len(s)/2] }},
-		{"garbage", func(s string) string { return "not json at all" }},
-		{"empty", func(s string) string { return "" }},
 		{"wrong schema", func(s string) string {
 			return strings.Replace(s, `"schema": 1`, `"schema": 99`, 1)
 		}},
@@ -142,7 +140,7 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 		}},
 		{"bucket missing", func(s string) string {
 			return strings.Replace(s,
-				"{\n      \"name\": \"structural\",\n      \"cycles\": 15,\n      \"share\": 0.015\n    }", "", 1)
+				",\n    {\n      \"name\": \"structural\",\n      \"cycles\": 15,\n      \"share\": 0.015\n    }", "", 1)
 		}},
 		{"branch flush cycles exceed bucket", func(s string) string {
 			return strings.Replace(s, `"flush_cycles": 150`, `"flush_cycles": 9999`, 1)
@@ -153,12 +151,20 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 		if mutated == orig {
 			t.Fatalf("%s: mutation did not change the document", c.name)
 		}
-		if _, err := ReadSnapshot(strings.NewReader(mutated)); err == nil {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(mutated), &s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := s.Validate(); err == nil {
 			t.Errorf("%s snapshot was accepted instead of rejected", c.name)
 		}
 	}
-	// And the undamaged document still reads.
-	if _, err := ReadSnapshot(strings.NewReader(orig)); err != nil {
+	// And the undamaged document still validates.
+	var s Snapshot
+	if err := json.Unmarshal([]byte(orig), &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 }
@@ -172,35 +178,5 @@ func TestWriteJSONRefusesInvariantViolation(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Error("invalid snapshot still produced output")
-	}
-}
-
-func TestSnapshotCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fixtureSnapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"metric,value\n",
-		"bench,gzip\n",
-		"cycles,1000\n",
-		"stall.useful-retire,520\n",
-		"stall.structural,15\n",
-		"cache.L1D.misses,45\n",
-		"branch.0.pc,17\n",
-		"branch.0.flush_cycles,150\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing %q:\n%s", want, out)
-		}
-	}
-	// Deterministic: a second render is byte-identical.
-	var buf2 bytes.Buffer
-	if err := fixtureSnapshot().WriteCSV(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Error("CSV output not deterministic")
 	}
 }

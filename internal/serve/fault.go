@@ -38,7 +38,7 @@ type Fault struct {
 	counter atomic.Uint64
 }
 
-// ParseFault parses a -fault flag value: "error:N", "drop:N",
+// ParseFault parses a fault spec: "error:N", "drop:N",
 // "delay:N:duration" (e.g. "delay:2:250ms"), or any of those with an
 // "N-M" window in place of N. Empty input is no fault.
 func ParseFault(s string) (*Fault, error) {

@@ -13,7 +13,7 @@ import (
 )
 
 // These tests drive serve.Client against a flapping backend — the
-// -fault injector's range form ("error:1-3" fails the first three
+// Fault injector's range form ("error:1-3" fails the first three
 // requests and then heals) — through the full retry state machine:
 // retry-until-success with an exact backoff count, retries-exhausted,
 // and a context deadline aborting the loop mid-backoff.

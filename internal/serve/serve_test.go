@@ -414,6 +414,85 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// poisonSpecs are well-formed requests whose machines the simulator
+// cannot build: a BTB geometry NewBTB panics on, and a window whose
+// allocation no host can satisfy.
+func poisonSpecs() []lab.Spec {
+	btb, rob := cheapSpec(), cheapSpec()
+	btb.Machine.BTBEntries = 3
+	rob.Machine.ROBSize = 1 << 40
+	return []lab.Spec{btb, rob}
+}
+
+// TestServeRejectsPoisonSpecs: each poison spec is a 400 on /v1/run and
+// /v1/campaign before any work starts, and the same server then serves
+// a good spec.
+func TestServeRejectsPoisonSpecs(t *testing.T) {
+	l := lab.New()
+	ts, cl := newTestServer(t, &Server{Lab: l})
+	for i, spec := range poisonSpecs() {
+		run, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: spec})
+		campaign, _ := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: []lab.Spec{spec}})
+		for _, req := range []struct{ path, body string }{{"/v1/run", string(run)}, {"/v1/campaign", string(campaign)}} {
+			resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatalf("poison spec %d on %s: %v", i, req.path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("poison spec %d on %s: status %d, want 400", i, req.path, resp.StatusCode)
+			}
+		}
+	}
+	if c := l.Counters(); c.Fresh != 0 || c.Errors != 0 {
+		t.Errorf("a poison spec reached the lab: %+v", c)
+	}
+	if _, err := cl.Run(context.Background(), cheapSpec()); err != nil {
+		t.Fatalf("good spec after the poison ones: %v", err)
+	}
+}
+
+// TestServeContainsPanickingBackend: a backend that panics on one spec
+// fails that campaign item, and that run, instead of killing the
+// server: the campaign answers 200 with the other items intact, and
+// /v1/run answers at once instead of blocking on an orphaned memo
+// entry.
+func TestServeContainsPanickingBackend(t *testing.T) {
+	l := lab.New()
+	ok := scriptedBackend(nil, 0)
+	l.Backend = func(ctx context.Context, s lab.Spec) (*cpu.Result, error) {
+		if s.Scale == 0.04 {
+			panic("poison spec")
+		}
+		return ok(ctx, s)
+	}
+	_, cl := newTestServer(t, &Server{Lab: l, Workers: 2})
+	var specs []lab.Spec
+	for _, sc := range []float64{0.05, 0.04, 0.03} {
+		s := cheapSpec()
+		s.Scale = sc
+		specs = append(specs, s)
+	}
+	items, err := cl.Campaign(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items[1].Result != nil || !strings.Contains(items[1].Err, "poison spec") {
+		t.Errorf("item 1 = %+v, want the panic as its error", items[1])
+	}
+	if items[0].Result == nil || items[2].Result == nil {
+		t.Errorf("items 0 and 2 = %+v, %+v, want results", items[0], items[2])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := cl.Run(ctx, specs[1]); err == nil || ctx.Err() != nil {
+		t.Errorf("run of the panicking spec: err = %v (ctx %v), want a prompt failure", err, ctx.Err())
+	}
+	if l.InFlight() != 0 {
+		t.Errorf("in flight = %d after every run finished, want 0", l.InFlight())
+	}
+}
+
 // TestWireSpecKeyRoundTrip: decode(encode(spec)) must have the same
 // cache key as the original for every machine shape the experiments
 // use — the property that makes HTTP results byte-identical to local
