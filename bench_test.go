@@ -202,7 +202,7 @@ func BenchmarkEmulatorSteps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := emu.New(p)
 		mem(st.Mem)
-		n, err := st.Run(0, nil)
+		n, err := st.Run(0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func Example_quickstart() {
 
 		st := emu.New(p)
 		coinMem(st.Mem)
-		if _, err := st.Run(0, nil); err != nil {
+		if _, err := st.Run(0); err != nil {
 			panic(err)
 		}
 		if v == compiler.NormalBranch {

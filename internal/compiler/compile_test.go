@@ -22,7 +22,7 @@ func run(t *testing.T, src *Source, v Variant, mem func(*emu.Memory)) *emu.State
 	if mem != nil {
 		mem(st.Mem)
 	}
-	if _, err := st.Run(5_000_000, nil); err != nil {
+	if _, err := st.Run(5_000_000); err != nil {
 		t.Fatalf("%v: %v\n%s", v, err, p.Disassemble())
 	}
 	return st

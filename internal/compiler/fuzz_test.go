@@ -27,7 +27,7 @@ func TestFuzzVariantEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, testutil.ReplayHint("arch", raw))
 			}
 			st := emu.New(p)
-			if _, err := st.Run(50_000_000, nil); err != nil {
+			if _, err := st.Run(50_000_000); err != nil {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, testutil.ReplayHint("arch", raw))
 			}
 			for a := 0; a < GenAccs; a++ {

@@ -17,7 +17,7 @@ func runProg(t *testing.T, p *prog.Program, cfg *config.Machine, mem func(*emu.M
 	if mem != nil {
 		mem(ref.Mem)
 	}
-	if _, err := ref.Run(10_000_000, nil); err != nil {
+	if _, err := ref.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(cfg, p, mem)

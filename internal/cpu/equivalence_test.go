@@ -34,7 +34,7 @@ func TestPipelineArchitecturalEquivalence(t *testing.T) {
 			}
 			ref := emu.New(p)
 			mem(ref.Mem)
-			refN, err := ref.Run(0, nil)
+			refN, err := ref.Run(0)
 			if err != nil {
 				t.Fatalf("%s/%v: emulator: %v", b.Name, v, err)
 			}

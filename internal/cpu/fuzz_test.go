@@ -47,7 +47,7 @@ func TestFuzzPipelineEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, testutil.ReplayHint("arch", raw))
 			}
 			ref := emu.New(p)
-			if _, err := ref.Run(50_000_000, nil); err != nil {
+			if _, err := ref.Run(50_000_000); err != nil {
 				t.Fatalf("seed %d %v: %v\n%s", seed, v, err, testutil.ReplayHint("arch", raw))
 			}
 			for ci, cfg := range cfgs {

@@ -76,7 +76,7 @@ func TestSmokeEmulator(t *testing.T) {
 	p := buildLoopHammock(100)
 	st := emu.New(p)
 	initMem(100)(st.Mem)
-	if _, err := st.Run(100000, nil); err != nil {
+	if _, err := st.Run(100000); err != nil {
 		t.Fatalf("emulator: %v", err)
 	}
 	if !st.Halted {
@@ -117,7 +117,7 @@ func TestSmokePipeline(t *testing.T) {
 	// retired the same program.
 	ref := emu.New(p)
 	initMem(2000)(ref.Mem)
-	n, err := ref.Run(0, nil)
+	n, err := ref.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}

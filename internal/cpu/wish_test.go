@@ -238,7 +238,7 @@ func TestWishLoopClassification(t *testing.T) {
 	// Architectural check against the functional emulator.
 	ref := emu.New(jjl)
 	mem(ref.Mem)
-	if _, err := ref.Run(0, nil); err != nil {
+	if _, err := ref.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ArchState().Regs[16]; got != ref.Regs[16] {
@@ -420,12 +420,13 @@ func TestSelectUopInjection(t *testing.T) {
 	// Count guarded non-branch µops functionally.
 	ref := emu.New(p)
 	var guarded uint64
-	ref.Run(0, func(s emu.Step) {
+	for !ref.Halted {
+		s := ref.Step()
 		if s.Inst.Guard != isa.P0 && !s.Inst.IsBranch() &&
 			(s.Inst.WritesInt() || s.Inst.WritesPred()) {
 			guarded++
 		}
-	})
+	}
 	if extra != guarded {
 		t.Errorf("select µops injected = %d, want %d (one per guarded µop)", extra, guarded)
 	}

@@ -110,20 +110,17 @@ func (s *State) PeekBranch() bool {
 	return predOf(&s.Preds, in.Guard)
 }
 
-// Run executes until HALT or maxInsts µops (0 = no limit), invoking
-// visit for each step if non-nil. It returns the number of µops
-// executed and an error if the limit was hit before HALT.
-func (s *State) Run(maxInsts uint64, visit func(Step)) (uint64, error) {
+// Run executes until HALT or maxInsts µops (0 = no limit). It returns
+// the number of µops executed and an error if the limit was hit before
+// HALT.
+func (s *State) Run(maxInsts uint64) (uint64, error) {
 	var n uint64
 	for !s.Halted {
 		if maxInsts > 0 && n >= maxInsts {
 			return n, fmt.Errorf("emu: instruction limit %d reached at pc %d", maxInsts, s.PC)
 		}
-		st := s.Step()
+		s.Step()
 		n++
-		if visit != nil {
-			visit(st)
-		}
 	}
 	return n, nil
 }

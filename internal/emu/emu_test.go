@@ -25,7 +25,7 @@ func TestStraightLineExecution(t *testing.T) {
 		)
 	})
 	st := New(p)
-	n, err := st.Run(0, nil)
+	n, err := st.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGuardedNop(t *testing.T) {
 		)
 	})
 	st := New(p)
-	if _, err := st.Run(0, nil); err != nil {
+	if _, err := st.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Regs[1] != 7 {
@@ -69,7 +69,7 @@ func TestHardwiredRegisters(t *testing.T) {
 		)
 	})
 	st := New(p)
-	if _, err := st.Run(0, nil); err != nil {
+	if _, err := st.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Regs[1] != 0 {
@@ -93,7 +93,7 @@ func TestBranchAndLoop(t *testing.T) {
 		b.Emit(isa.Halt())
 	})
 	st := New(p)
-	if _, err := st.Run(0, nil); err != nil {
+	if _, err := st.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Regs[2] != 0+1+2+3+4 {
@@ -111,7 +111,7 @@ func TestCallRet(t *testing.T) {
 		b.Emit(isa.ALU(isa.OpAdd, 1, 1, 1), isa.Ret())
 	})
 	st := New(p)
-	if _, err := st.Run(0, nil); err != nil {
+	if _, err := st.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Regs[1] != 20 {
@@ -130,7 +130,7 @@ func TestMemoryOps(t *testing.T) {
 		)
 	})
 	st := New(p)
-	if _, err := st.Run(0, nil); err != nil {
+	if _, err := st.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Regs[3] != 77 {
@@ -161,7 +161,7 @@ func TestStepForcedEquivalence(t *testing.T) {
 		t.Fatal("wish jump should be taken")
 	}
 	taken.Step() // follow actual (taken)
-	if _, err := taken.Run(0, nil); err != nil {
+	if _, err := taken.Run(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +175,7 @@ func TestStepForcedEquivalence(t *testing.T) {
 	if !st.GuardTrue {
 		t.Error("Step should report the real guard value")
 	}
-	if _, err := forced.Run(0, nil); err != nil {
+	if _, err := forced.Run(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +234,7 @@ func TestRunLimit(t *testing.T) {
 		b.Emit(isa.Halt())
 	})
 	st := New(p)
-	if _, err := st.Run(100, nil); err == nil {
+	if _, err := st.Run(100); err == nil {
 		t.Error("infinite loop did not hit the instruction limit")
 	}
 }

@@ -109,7 +109,7 @@ func (o *ArchOracle) Check(ctx context.Context, c Case) error {
 			DropFirstGuard(p)
 		}
 		em := emu.New(p)
-		if _, err := em.Run(maxEmuInsts, nil); err != nil {
+		if _, err := em.Run(maxEmuInsts); err != nil {
 			return fmt.Errorf("%v emulator: %w", v, err)
 		}
 		if v == compiler.NormalBranch {

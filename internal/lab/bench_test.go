@@ -42,6 +42,22 @@ func BenchmarkStoreWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecKeyed measures the key cache's hit path, which a warm
+// campaign takes about six times per distinct spec (every experiment
+// that reads a run keys it again): no reflection, no SHA-256, no
+// allocation.
+func BenchmarkSpecKeyed(b *testing.B) {
+	s := testSpec()
+	s.Keyed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchKeyed = s.Keyed()
+	}
+}
+
+var benchKeyed Keyed
+
 // BenchmarkStorePut measures the durable write path (temp file, fsync,
 // rename) — the cost a cold campaign pays once per fresh simulation.
 func BenchmarkStorePut(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -76,6 +77,11 @@ func (s Spec) Validate() error {
 	if s.Scale <= 0 {
 		return fmt.Errorf("lab: %s: non-positive scale %v (use workload.DefaultScale)", s.Bench, s.Scale)
 	}
+	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 1) {
+		// Both pass the test above, and workload sizing clamps either
+		// to a one-iteration program labelled with a meaningless scale.
+		return fmt.Errorf("lab: %s: non-finite scale %v", s.Bench, s.Scale)
+	}
 	if err := s.Thresholds.Validate(); err != nil {
 		return fmt.Errorf("lab: %s: %w", s.Bench, err)
 	}
@@ -84,7 +90,95 @@ func (s Spec) Validate() error {
 
 // Key returns the complete, versioned signature of the spec. Equal
 // keys ⇒ identical simulation results.
-func (s Spec) Key() string {
+func (s Spec) Key() string { return s.Keyed().Key }
+
+// Hash returns the SHA-256 of the key, the store's content address.
+func (s Spec) Hash() string { return s.Keyed().Hash }
+
+// Keyed pairs a Spec with its cache key and content hash. Hot paths
+// (Lab, serve, cluster) build a Keyed once per item and thread it
+// through, so a memo probe, a store lookup and a ring placement of one
+// campaign item share one key cache lookup.
+type Keyed struct {
+	Spec Spec
+	Key  string
+	Hash string
+}
+
+// Keyed returns the spec's key and content hash. They are derived once
+// per distinct spec value per process (keyCache); the returned Spec is
+// always s itself, never a cached copy.
+func (s Spec) Keyed() Keyed {
+	id := s.id()
+	keyCache.RLock()
+	kh, ok := keyCache.m[id]
+	keyCache.RUnlock()
+	if !ok {
+		// Derived outside the lock: two racing misses compute the
+		// same pure value, so the second store is harmless.
+		k := s.key()
+		kh = [2]string{k, hashKey(k)}
+		keyCache.Lock()
+		if len(keyCache.m) >= keyCacheCap {
+			clear(keyCache.m)
+		}
+		keyCache.m[id] = kh
+		keyCache.Unlock()
+	}
+	return Keyed{Spec: s, Key: kh[0], Hash: kh[1]}
+}
+
+// keyCacheCap bounds keyCache at about 5 MB (an entry is about 1.3 KB:
+// the machine value plus a ~800-byte key and its hash). A campaign has
+// 594 distinct specs; the cap is there because serve keys a campaign
+// before admitting it, so refused requests must not grow the cache
+// without limit. A full cache is cleared, not evicted piecemeal: the
+// next keying of each live spec refills it.
+const keyCacheCap = 4096
+
+// keyCache maps a spec value to its key and hash. It is a typed map,
+// not a sync.Map: sync.Map hashes its interface keys by reflection,
+// which alone cost more than a whole typed hit.
+var keyCache = struct {
+	sync.RWMutex
+	m map[specID][2]string
+}{m: make(map[specID][2]string)}
+
+// specID is a Spec by value, the comparable key of keyCache. The
+// machine is held by value, not by pointer: a machine mutated in place
+// must key afresh, and experiments build a fresh *Machine per run-set,
+// so pointer identity would never hit. Scale is held as its bits so a
+// NaN scale (which Validate rejects, but which is still keyed on error
+// paths) equals itself.
+type specID struct {
+	bench      string
+	input      workload.Input
+	variant    compiler.Variant
+	machine    config.Machine
+	nilMachine bool
+	scale      uint64
+	thresholds compiler.Thresholds
+	maxCycles  uint64
+}
+
+func (s Spec) id() specID {
+	id := specID{
+		bench:      s.Bench,
+		input:      s.Input,
+		variant:    s.Variant,
+		nilMachine: s.Machine == nil,
+		scale:      math.Float64bits(s.Scale),
+		thresholds: s.Thresholds,
+		maxCycles:  s.MaxCycles,
+	}
+	if s.Machine != nil {
+		id.machine = *s.Machine
+	}
+	return id
+}
+
+// key derives the spec's key without the cache.
+func (s Spec) key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d|bench=%s|input=%d|variant=%d|scale=%s|maxcycles=%d|N=%d|L=%d|machine=",
 		SchemaVersion, s.Bench, int(s.Input), int(s.Variant),
@@ -92,29 +186,6 @@ func (s Spec) Key() string {
 		s.Thresholds.WishJump, s.Thresholds.WishLoop)
 	b.WriteString(MachineSig(s.Machine))
 	return b.String()
-}
-
-// Hash returns the SHA-256 of the key, the store's content address.
-func (s Spec) Hash() string {
-	return hashKey(s.Key())
-}
-
-// Keyed pairs a Spec with its precomputed cache key and content hash.
-// Key() rebuilds the machine signature by reflection and Hash() runs
-// SHA-256 over it — cheap once, wasteful on every memo probe, store
-// lookup, and ring placement of a campaign item. Hot paths (Lab,
-// serve, cluster) build a Keyed once per item and thread it through;
-// TestKeyedMatchesKey pins the cached forms to the live ones.
-type Keyed struct {
-	Spec Spec
-	Key  string
-	Hash string
-}
-
-// Keyed computes the spec's key and content hash once.
-func (s Spec) Keyed() Keyed {
-	k := s.Key()
-	return Keyed{Spec: s, Key: k, Hash: hashKey(k)}
 }
 
 // KeyHash maps a cache key (or any ring label) to a uint64 ring
@@ -208,32 +279,22 @@ func (s Spec) String() string {
 // hand-rolled format string, a newly added field is automatically part
 // of the signature — it can change the key (a cache miss and a fresh
 // simulation) but never silently alias an existing entry. Fields of
-// kinds the encoder does not understand (maps, funcs, channels, ...)
+// kinds the encoder does not take (floats, pointers, slices, maps, ...)
 // panic, so an incompatible extension of config.Machine fails loudly
 // in any test that touches the lab rather than corrupting the cache.
 //
-// Signatures are memoized keyed by the machine *value* (config.Machine
-// is a flat comparable struct). Value keying makes the cache immune to
-// in-place mutation — a mutated machine is a different value and lands
-// in a different slot — while a campaign's handful of distinct
-// machines each reflect exactly once per process instead of once per
-// key computation (the dominant cost of a fully store-warm campaign).
+// MachineSig reflects on every call; Spec.Keyed caches whole keys, so
+// a campaign pays it once per distinct spec.
 func MachineSig(m *config.Machine) string {
 	if m == nil {
 		// An ill-formed spec; Validate rejects it before simulation,
 		// but its key must still be computable (e.g. for error paths).
 		return "nil"
 	}
-	if s, ok := sigCache.Load(*m); ok {
-		return s.(string)
-	}
 	var b strings.Builder
 	encodeValue(&b, reflect.ValueOf(m).Elem())
-	s, _ := sigCache.LoadOrStore(*m, b.String())
-	return s.(string)
+	return b.String()
 }
-
-var sigCache sync.Map // config.Machine → string
 
 func encodeValue(b *strings.Builder, v reflect.Value) {
 	switch v.Kind() {
@@ -247,8 +308,6 @@ func encodeValue(b *strings.Builder, v reflect.Value) {
 		b.WriteString(strconv.FormatInt(v.Int(), 10))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-	case reflect.Float32, reflect.Float64:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
 	case reflect.String:
 		b.WriteString(strconv.Quote(v.String()))
 	case reflect.Struct:
@@ -263,7 +322,7 @@ func encodeValue(b *strings.Builder, v reflect.Value) {
 			encodeValue(b, v.Field(i))
 		}
 		b.WriteString("}")
-	case reflect.Slice, reflect.Array:
+	case reflect.Array:
 		b.WriteString("[")
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
@@ -272,14 +331,11 @@ func encodeValue(b *strings.Builder, v reflect.Value) {
 			encodeValue(b, v.Index(i))
 		}
 		b.WriteString("]")
-	case reflect.Ptr:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return
-		}
-		encodeValue(b, v.Elem())
 	default:
-		panic(fmt.Sprintf("lab: cannot encode %s field of kind %s in a cache key; extend encodeValue",
+		// The kinds above are the ones for which equal machine values
+		// mean equal keys, which the key cache relies on
+		// (TestMachineKeyableByValue).
+		panic(fmt.Sprintf("lab: cannot encode %s field of kind %s in a cache key",
 			v.Type(), v.Kind()))
 	}
 }

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,6 +155,8 @@ func TestSpecValidate(t *testing.T) {
 		{"nil machine", func(s *Spec) { s.Machine = nil }},
 		{"zero scale", func(s *Spec) { s.Scale = 0 }},
 		{"negative scale", func(s *Spec) { s.Scale = -1 }},
+		{"NaN scale", func(s *Spec) { s.Scale = math.NaN() }},
+		{"infinite scale", func(s *Spec) { s.Scale = math.Inf(1) }},
 		{"zero thresholds", func(s *Spec) { s.Thresholds = compiler.Thresholds{} }},
 	}
 	for _, b := range bad {

@@ -41,6 +41,29 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzStoreRecord feeds arbitrary bytes and keys to the store-record
+// decoder, which reads whatever a store directory holds. It returns nil
+// or a result that re-encodes under the same key to exactly the input
+// bytes (the record layout has one encoding per result), and it never
+// panics.
+func FuzzStoreRecord(f *testing.F) {
+	key := testSpec().Key()
+	rec := appendBinRecord(nil, key, benchResult())
+	// The whole record, then cuts inside its frame, key and header.
+	for _, n := range []int{len(rec), len(rec) - 1, 12 + len(key) + 8, 12 + len(key), 12 + len(key)/2, 11, 0} {
+		f.Add(rec[:n], key)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		r := decodeBinRecord(data, key)
+		if r == nil {
+			return
+		}
+		if re := appendBinRecord(nil, key, r); !bytes.Equal(re, data) {
+			t.Fatalf("accepted record does not re-encode to itself:\nin:  %x\nout: %x", data, re)
+		}
+	})
+}
+
 func TestStoreIgnoresCorruptRecords(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {

@@ -23,7 +23,7 @@ func TestAllBenchmarksEquivalentAcrossVariants(t *testing.T) {
 				}
 				st := emu.New(p)
 				mem(st.Mem)
-				n, err := st.Run(80_000_000, nil)
+				n, err := st.Run(80_000_000)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: run: %v", b.Name, in, v, err)
 				}
@@ -85,7 +85,7 @@ func TestInputsDiffer(t *testing.T) {
 			p := compiler.MustCompile(src2, compiler.NormalBranch)
 			st := emu.New(p)
 			mem(st.Mem)
-			if _, err := st.Run(200_000_000, nil); err != nil {
+			if _, err := st.Run(200_000_000); err != nil {
 				t.Fatalf("%s/%v: %v", b.Name, in, err)
 			}
 			key := st.Regs[16] ^ st.Regs[17]
