@@ -18,9 +18,9 @@
 // write-ahead journal before any client sees it, and a restarted
 // daemon replays the journal into its memo table and store — a SIGKILL
 // loses nothing it acknowledged. With -store-max-bytes, the store
-// evicts least-recently-accessed records past the bound; records
-// referenced by the open journal are pinned and never evicted
-// (/metrics gains store_bytes and evictions).
+// evicts least-recently-accessed records past the bound (/metrics gains
+// store_bytes and evictions); a restart replays the journal's own copy
+// of each result, so eviction never costs a resume.
 //
 // Cluster mode: the same binary fronts a fleet of workers as a
 // coordinator speaking the identical wire API, so `wishbench -server`
@@ -128,11 +128,10 @@ func run() int {
 		}
 	}
 
-	// Crash safety: replay the journal into the memo table (and store),
-	// pin every journaled key against GC eviction, and journal every
-	// result acquired from here on — a SIGKILL'd daemon restarts with
-	// everything it had acknowledged, and a restarted coordinator
-	// routes only what it had not answered.
+	// Crash safety: replay the journal into the memo table (and store)
+	// and journal every result acquired from here on — a SIGKILL'd
+	// daemon restarts with everything it had acknowledged, and a
+	// restarted coordinator routes only what it had not answered.
 	var jnl *journal.Journal
 	if lf.Journal != "" {
 		name := "server.wbj"

@@ -32,7 +32,6 @@ func loopexitSource() *compiler.Source {
 							isa.ALUI(isa.OpAdd, 3, 3, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 3, 2)),
-						Prof: compiler.LoopProfile{AvgTrip: 3, MispredRate: 0.3},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 20, 20, 8), isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},

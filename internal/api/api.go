@@ -102,14 +102,15 @@ type LabMetrics struct {
 
 // StoreMetrics is the store-lifecycle section of /metrics, present
 // when the server's result store runs with a size bound
-// (-store-max-bytes): tracked on-disk bytes, the bound, eviction
-// count, and how many records are pinned by an open journal (pinned
-// records are never evicted).
+// (-store-max-bytes): tracked on-disk bytes, the bound, and the
+// eviction count.
 type StoreMetrics struct {
 	Bytes     int64  `json:"store_bytes"`
 	MaxBytes  int64  `json:"store_max_bytes"`
 	Evictions uint64 `json:"evictions"`
-	Pinned    int    `json:"pinned"`
+	// Pinned always reads 0: a journal no longer pins store records.
+	// The field is kept because wire version 1 may only grow.
+	Pinned int `json:"pinned"`
 }
 
 // JournalMetrics is the crash-safety section of /metrics, present when

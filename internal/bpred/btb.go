@@ -1,27 +1,17 @@
 package bpred
 
-// BTBEntry is what the front end learns about a branch from the BTB.
-// Per §3.5.1 of the paper, a BTB entry is extended to indicate whether
-// the branch is a wish branch and the wish branch type, so the fetch
-// stage can act on wish semantics before decode.
-type BTBEntry struct {
-	Target int  // µop index of the taken target
-	IsWish bool // wish-branch hint bit (Figure 7 btype)
-	WType  uint8
-	IsCond bool
-	IsRet  bool
-}
-
 // BTB is a set-associative branch target buffer with LRU replacement.
+// It models only hit/miss timing: a hit lets fetch redirect to a taken
+// target in the same cycle. The paper extends each BTB entry with the
+// wish-branch hint bits (§3.5.1) so fetch can act on wish semantics
+// before decode; the front end reads those bits from the decoded
+// instruction instead, so an entry holds no payload.
 type BTB struct {
 	ways    int
 	setMask uint64
 	tags    [][]uint64 // 0 = invalid; stored as pc+1
-	data    [][]BTBEntry
 	lru     [][]uint32
 	clock   uint32
-
-	Lookups, Hits uint64
 }
 
 // NewBTB builds a BTB with the given number of entries (power of two)
@@ -33,34 +23,31 @@ func NewBTB(entries, ways int) *BTB {
 	sets := entries / ways
 	b := &BTB{ways: ways, setMask: uint64(sets - 1)}
 	b.tags = make([][]uint64, sets)
-	b.data = make([][]BTBEntry, sets)
 	b.lru = make([][]uint32, sets)
 	for i := range b.tags {
 		b.tags[i] = make([]uint64, ways)
-		b.data[i] = make([]BTBEntry, ways)
 		b.lru[i] = make([]uint32, ways)
 	}
 	return b
 }
 
-// Lookup returns the entry for the branch at pc, if present.
-func (b *BTB) Lookup(pc uint64) (BTBEntry, bool) {
-	b.Lookups++
+// Lookup reports whether the branch at pc hits, and marks a hit most
+// recently used.
+func (b *BTB) Lookup(pc uint64) bool {
 	set := pc & b.setMask
 	for w := 0; w < b.ways; w++ {
 		if b.tags[set][w] == pc+1 {
 			b.clock++
 			b.lru[set][w] = b.clock
-			b.Hits++
-			return b.data[set][w], true
+			return true
 		}
 	}
-	return BTBEntry{}, false
+	return false
 }
 
-// Insert installs or updates the entry for pc, evicting LRU on
+// Insert installs pc, or refreshes it if present, evicting LRU on
 // conflict.
-func (b *BTB) Insert(pc uint64, e BTBEntry) {
+func (b *BTB) Insert(pc uint64) {
 	set := pc & b.setMask
 	victim := 0
 	for w := 0; w < b.ways; w++ {
@@ -78,7 +65,6 @@ func (b *BTB) Insert(pc uint64, e BTBEntry) {
 	}
 	b.clock++
 	b.tags[set][victim] = pc + 1
-	b.data[set][victim] = e
 	b.lru[set][victim] = b.clock
 }
 

@@ -31,7 +31,6 @@ type Pred struct {
 	Taken       bool
 	gshareTaken bool
 	pasTaken    bool
-	useGshare   bool
 	// Hist is the global history *before* this prediction was shifted
 	// in; Repair(hist, outcome) reconstructs fetch state from it.
 	Hist uint64
@@ -49,7 +48,6 @@ type Hybrid struct {
 	cfg      HybridConfig
 	gshare   []ctr2
 	pasPHT   []ctr2
-	pasLocal []uint32 // committed local histories (trained at retire)
 	pasSpec  []uint32 // speculative local histories (shifted at lookup)
 	selector []ctr2
 	specHist uint64 // speculatively updated at prediction
@@ -68,7 +66,6 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 		cfg:      cfg,
 		gshare:   newCtrTable(cfg.GsharePHTEntries),
 		pasPHT:   newCtrTable(cfg.PAsPHTEntries),
-		pasLocal: make([]uint32, cfg.PAsLocalEntries),
 		pasSpec:  make([]uint32, cfg.PAsLocalEntries),
 		selector: newCtrTable(cfg.SelectorEntries),
 		histMask: 1<<uint(cfg.HistoryBits) - 1,
@@ -102,9 +99,8 @@ func (h *Hybrid) Lookup(pc uint64) Pred {
 	lhist := h.pasSpec[li]
 	g := h.gshare[h.gshareIdx(pc, hist)].taken()
 	pa := h.pasPHT[h.phtIdx(pc, lhist)].taken()
-	useG := h.selector[h.selIdx(pc, hist)].taken()
-	p := Pred{gshareTaken: g, pasTaken: pa, useGshare: useG, Hist: hist, LHist: lhist}
-	if useG {
+	p := Pred{gshareTaken: g, pasTaken: pa, Hist: hist, LHist: lhist}
+	if h.selector[h.selIdx(pc, hist)].taken() {
 		p.Taken = g
 	} else {
 		p.Taken = pa
@@ -152,8 +148,6 @@ func (h *Hybrid) Commit(pc uint64, p Pred, taken bool) {
 	// indexed by the fetch-time speculative local history.
 	pi := h.phtIdx(pc, p.LHist)
 	h.pasPHT[pi] = h.pasPHT[pi].update(taken)
-	li := h.localIdx(pc)
-	h.pasLocal[li] = h.pasLocal[li]<<1 | uint32(b2u(taken))
 	// Train the selector only when the components disagree.
 	if p.gshareTaken != p.pasTaken {
 		si := h.selIdx(pc, p.Hist)

@@ -37,7 +37,6 @@ func (s Stats) MissRate() float64 {
 // Cache is one set-associative write-back, write-allocate cache level.
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
 	setMask   uint64
 	tags      []uint64 // tag+1; 0 = invalid
@@ -75,7 +74,6 @@ func New(cfg Config, next backend) *Cache {
 	}
 	c := &Cache{
 		cfg:     cfg,
-		sets:    sets,
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, lines),
 		dirty:   make([]bool, lines),

@@ -128,10 +128,6 @@ type Profile struct {
 	TakenProb float64
 	// MispredRate is the estimated misprediction rate from profiling.
 	MispredRate float64
-	// InputDependent marks branches whose misprediction rate varies
-	// with the input set; §3.6 says such branches are the prime wish
-	// branch candidates.
-	InputDependent bool
 }
 
 // If is a two-sided (possibly empty-else) hammock.
@@ -147,21 +143,11 @@ type If struct {
 
 func (If) isNode() {}
 
-// LoopProfile carries trip-count profile data for backward branches.
-type LoopProfile struct {
-	// AvgTrip is the average iteration count.
-	AvgTrip float64
-	// MispredRate is the estimated misprediction rate of the backward
-	// branch.
-	MispredRate float64
-}
-
 // DoWhile is a bottom-tested loop: body executes at least once, and the
 // backward branch repeats while Cond holds (Figure 4).
 type DoWhile struct {
 	Body []Node
 	Cond Cond
-	Prof LoopProfile
 	// NoConvert keeps the backward branch a normal branch even in the
 	// wish jump/join/loop binary.
 	NoConvert bool
@@ -174,7 +160,6 @@ func (DoWhile) isNode() {}
 type While struct {
 	Body      []Node
 	Cond      Cond
-	Prof      LoopProfile
 	NoConvert bool
 }
 

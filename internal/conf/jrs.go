@@ -95,8 +95,6 @@ type JRS struct {
 	ctrs    []int
 	lru     []uint32
 	clock   uint32
-
-	Lookups, HighConf uint64
 }
 
 // NewJRS builds the estimator. The configuration must pass Validate;
@@ -129,18 +127,13 @@ func (j *JRS) index(pc, hist uint64) (set uint64, tag uint64) {
 // an unknown branch has no evidence of predictability, and erring low
 // costs only predication overhead rather than a flush.
 func (j *JRS) Lookup(pc, hist uint64) bool {
-	j.Lookups++
 	set, tag := j.index(pc, hist)
 	base := int(set) * j.cfg.Ways
 	for w := 0; w < j.cfg.Ways; w++ {
 		if j.tags[base+w] == tag {
 			j.clock++
 			j.lru[base+w] = j.clock
-			if j.ctrs[base+w] >= j.cfg.Threshold {
-				j.HighConf++
-				return true
-			}
-			return false
+			return j.ctrs[base+w] >= j.cfg.Threshold
 		}
 	}
 	return false

@@ -3,7 +3,6 @@ package cpu
 import (
 	"fmt"
 
-	"wishbranch/internal/bpred"
 	"wishbranch/internal/emu"
 	"wishbranch/internal/isa"
 	"wishbranch/internal/obs"
@@ -64,7 +63,7 @@ func (c *CPU) fetch() {
 		inst := &c.prog.Code[pc]
 		u := c.newUop()
 		u.seq, u.pc, u.inst = c.seq, pc, inst
-		u.wrongPath, u.mode = c.shadow != nil, c.mode
+		u.wrongPath = c.shadow != nil
 		c.seq++
 
 		endGroup := false
@@ -132,7 +131,7 @@ func (c *CPU) fetchBranch(u *uop) bool {
 	inst := u.inst
 	pc64 := prog.Addr(u.pc)
 	wrong := c.shadow != nil
-	_, btbHit := c.btb.Lookup(pc64)
+	btbHit := c.btb.Lookup(pc64)
 
 	bubble := false
 	switch inst.Op {
@@ -209,7 +208,7 @@ func (c *CPU) fetchBranch(u *uop) bool {
 		panic(fmt.Sprintf("cpu: unexpected branch op %v", inst.Op))
 	}
 
-	c.btb.Insert(pc64, btbEntryFor(inst))
+	c.btb.Insert(pc64)
 	u.rasTop, u.rasVal = c.ras.Snapshot()
 	if bubble {
 		c.res.BTBMissBubbles++
@@ -306,7 +305,6 @@ func (c *CPU) fetchWish(u *uop, predDir, actual bool) {
 
 	if high {
 		c.mode = ModeHigh
-		u.mode = ModeHigh
 		// Predicate dependency elimination (§3.5.3): the wish branch's
 		// source predicate (and its complement partner from the defining
 		// compare) are predicted so dependent predicated instructions
@@ -331,7 +329,6 @@ func (c *CPU) fetchWish(u *uop, predDir, actual bool) {
 
 	// Low confidence.
 	c.mode = ModeLow
-	u.mode = ModeLow
 	if wt == isa.WJump || wt == isa.WJoin {
 		// Forced not-taken: the predicated code executes both paths and
 		// no flush is ever needed (§3.1). A low-confidence wish
@@ -476,13 +473,4 @@ func (c *CPU) notePredPair(in *isa.Inst) {
 		}
 		c.predPair[in.PDst] = isa.PNone
 	}
-}
-
-func btbEntryFor(in *isa.Inst) (e bpred.BTBEntry) {
-	e.Target = in.Target
-	e.IsWish = in.IsWish()
-	e.WType = uint8(in.WType)
-	e.IsCond = in.IsCondBranch()
-	e.IsRet = in.Op == isa.OpRet
-	return e
 }

@@ -82,7 +82,6 @@ type uop struct {
 	dirPred    bool   // final predictor direction (incl. loop-predictor override)
 	mispredict bool   // fetch-detected real misprediction: flush at resolve
 	deferred   bool   // low-conf wish loop extra iteration: classify at resolve
-	mode       Mode   // front-end mode when fetched
 	highConf   bool   // confidence estimate (wish branches)
 	loopCls    loopClass
 	loopGen    uint64 // wish loops: front-end loop generation at fetch

@@ -29,9 +29,6 @@ type State struct {
 	Mem    *Memory
 	PC     int
 	Halted bool
-	// Insts counts retired (architecturally executed) µops, including
-	// guarded-false ones, which flow through the machine as NOPs.
-	Insts uint64
 }
 
 // New returns a fresh state for the program with zeroed registers and
@@ -64,7 +61,6 @@ func (s *State) StepInto(st *Step) {
 	}
 	exec(st, &s.Regs, &s.Preds, s.Mem, nil, s.Prog, s.PC, nil)
 	s.PC = st.NextPC
-	s.Insts++
 	if st.Halted {
 		s.Halted = true
 	}
@@ -96,7 +92,6 @@ func (s *State) StepForcedInto(st *Step, taken bool) {
 	}
 	exec(st, &s.Regs, &s.Preds, s.Mem, nil, s.Prog, s.PC, &taken)
 	s.PC = st.NextPC
-	s.Insts++
 }
 
 // PeekBranch returns, without executing, whether the conditional branch

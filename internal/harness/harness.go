@@ -85,10 +85,7 @@ type Options struct {
 	// KeepGoing continues past failures instead of stopping at the
 	// first; each failing seed still costs a full shrink.
 	KeepGoing bool
-	// MaxShrinkChecks bounds the oracle re-runs the shrinker spends per
-	// failure (0 = DefaultShrinkChecks).
-	MaxShrinkChecks int
-	Log             io.Writer
+	Log       io.Writer
 }
 
 // DefaultShrinkChecks bounds shrinking effort per failure.
@@ -166,11 +163,7 @@ func checkCase(ctx context.Context, opts *Options, rep *Report, c Case) (stop bo
 		f := Failure{Oracle: o.Name(), Seed: c.Seed, Err: cerr.Error()}
 		opts.logf("seed %d: oracle %s FAILED: %v", c.Seed, o.Name(), cerr)
 		if o.SourceSensitive() && c.Source != nil {
-			budget := opts.MaxShrinkChecks
-			if budget <= 0 {
-				budget = DefaultShrinkChecks
-			}
-			min, minErr := ShrinkCase(ctx, o, c, budget)
+			min, minErr := ShrinkCase(ctx, o, c, DefaultShrinkChecks)
 			f.Minimized = min
 			f.Nodes = CountNodes(min)
 			f.Err = minErr.Error()

@@ -21,13 +21,12 @@ type jsonNode struct {
 
 	Insts []isa.Inst `json:"insts,omitempty"` // straight
 
-	Cond      *compiler.Cond       `json:"cond,omitempty"` // if, dowhile, while
-	Then      []jsonNode           `json:"then,omitempty"` // if
-	Else      []jsonNode           `json:"else,omitempty"` // if
-	Body      []jsonNode           `json:"body,omitempty"` // dowhile, while
-	Prof      compiler.Profile     `json:"prof,omitempty"` // if
-	LProf     compiler.LoopProfile `json:"lprof,omitempty"`
-	NoConvert bool                 `json:"noconvert,omitempty"`
+	Cond      *compiler.Cond   `json:"cond,omitempty"` // if, dowhile, while
+	Then      []jsonNode       `json:"then,omitempty"` // if
+	Else      []jsonNode       `json:"else,omitempty"` // if
+	Body      []jsonNode       `json:"body,omitempty"` // dowhile, while
+	Prof      compiler.Profile `json:"prof,omitempty"` // if
+	NoConvert bool             `json:"noconvert,omitempty"`
 
 	Name string `json:"name,omitempty"` // call
 }
@@ -57,11 +56,11 @@ func encodeNodes(nodes []compiler.Node) []jsonNode {
 		case compiler.DoWhile:
 			c := t.Cond
 			out = append(out, jsonNode{Kind: "dowhile", Cond: &c,
-				Body: encodeNodes(t.Body), LProf: t.Prof, NoConvert: t.NoConvert})
+				Body: encodeNodes(t.Body), NoConvert: t.NoConvert})
 		case compiler.While:
 			c := t.Cond
 			out = append(out, jsonNode{Kind: "while", Cond: &c,
-				Body: encodeNodes(t.Body), LProf: t.Prof, NoConvert: t.NoConvert})
+				Body: encodeNodes(t.Body), NoConvert: t.NoConvert})
 		case compiler.Call:
 			out = append(out, jsonNode{Kind: "call", Name: t.Name})
 		default:
@@ -100,11 +99,9 @@ func decodeNodes(nodes []jsonNode) ([]compiler.Node, error) {
 				return nil, err
 			}
 			if n.Kind == "dowhile" {
-				out = append(out, compiler.DoWhile{Body: body, Cond: *n.Cond,
-					Prof: n.LProf, NoConvert: n.NoConvert})
+				out = append(out, compiler.DoWhile{Body: body, Cond: *n.Cond, NoConvert: n.NoConvert})
 			} else {
-				out = append(out, compiler.While{Body: body, Cond: *n.Cond,
-					Prof: n.LProf, NoConvert: n.NoConvert})
+				out = append(out, compiler.While{Body: body, Cond: *n.Cond, NoConvert: n.NoConvert})
 			}
 		case "call":
 			if n.Name == "" {

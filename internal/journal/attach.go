@@ -14,9 +14,11 @@ import (
 // daemon's open-ended one are not known up front. It returns the
 // number of results resumed from the journal.
 //
-// With a store on the lab, every journaled key is pinned against GC
-// eviction, and a replayed result the store lacks is written back, so
-// the store holds at least what the journal holds.
+// With a store on the lab, a replayed result the store lacks is
+// written back, so later processes without the journal still find it.
+// The store's size bound may evict it again at any time: a seeded key
+// never reads the store, so an eviction costs some later process a
+// re-simulation, never a resume.
 //
 // Attach must run before the campaign starts (it sets l.OnResult).
 // Journal append failures are surfaced through onErr (nil = ignored):
@@ -27,11 +29,8 @@ func Attach(l *lab.Lab, j *Journal, rep *Replay, keys []string, onErr func(error
 		if l.Seed(key, r) {
 			resumed++
 		}
-		if l.Store != nil {
-			l.Store.Pin(key)
-			if l.Store.Get(key) == nil {
-				l.Store.Put(key, r) //nolint:errcheck // the memo table already has it
-			}
+		if l.Store != nil && l.Store.Get(key) == nil {
+			l.Store.Put(key, r) //nolint:errcheck // the memo table already has it
 		}
 	}
 	if keys == nil {
@@ -45,14 +44,8 @@ func Attach(l *lab.Lab, j *Journal, rep *Replay, keys []string, onErr func(error
 		}
 	}
 	l.OnResult = func(k lab.Keyed, r *cpu.Result) {
-		if err := j.Append(k.Key, r); err != nil {
-			if onErr != nil {
-				onErr(err)
-			}
-			return
-		}
-		if l.Store != nil {
-			l.Store.PinHashed(k.Hash)
+		if err := j.Append(k.Key, r); err != nil && onErr != nil {
+			onErr(err)
 		}
 	}
 	return resumed

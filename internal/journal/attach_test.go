@@ -191,12 +191,11 @@ func TestSeededEntriesDoNotRefire(t *testing.T) {
 	}
 }
 
-// TestAttachNilKeysSeedsAllAndPins covers the journals whose key set is
+// TestAttachNilKeysSeedsAll covers the journals whose key set is
 // open-ended (the tuner's, a daemon's): with nil keys Attach seeds
 // every replayed result, and with a store it writes back replayed
-// records the store lacks and pins every journaled key, replayed or
-// new, against GC eviction.
-func TestAttachNilKeysSeedsAllAndPins(t *testing.T) {
+// records the store lacks.
+func TestAttachNilKeysSeedsAll(t *testing.T) {
 	specs, keys, backend, calls := synthCampaign(4)
 	path := filepath.Join(t.TempDir(), "j.wbj")
 
@@ -239,7 +238,47 @@ func TestAttachNilKeysSeedsAllAndPins(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("%d backend calls after resume, want 1", got)
 	}
-	if got := store.Pinned(); got != len(keys) {
-		t.Errorf("store pins %d keys, want all %d journaled keys", got, len(keys))
+}
+
+// TestAttachKeepsStoreBound: a journal holds its own copy of every
+// result, so replaying one into a store bounded at a single record
+// leaves the store within its bound, and the resume still needs no
+// backend call — the memo table, not the store, carries it.
+func TestAttachKeepsStoreBound(t *testing.T) {
+	specs, keys, backend, calls := synthCampaign(4)
+	path := filepath.Join(t.TempDir(), "j.wbj")
+	runCampaign(t, path, specs, keys, backend)
+
+	store, err := lab.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(keys[0], testResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SetMaxBytes(1 << 40); err != nil { // scan: learn the record's size
+		t.Fatal(err)
+	}
+	if err := store.SetMaxBytes(store.Bytes()); err != nil { // bound: that one record
+		t.Fatal(err)
+	}
+	j, rep, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	l := lab.New()
+	l.Backend = backend
+	l.Store = store
+	if resumed := Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) }); resumed != len(keys) {
+		t.Errorf("resumed %d results, want %d", resumed, len(keys))
+	}
+	if store.Bytes() > store.MaxBytes() {
+		t.Errorf("store holds %d bytes over its %d-byte bound", store.Bytes(), store.MaxBytes())
+	}
+	calls.Store(0)
+	l.Warm(specs)
+	if got := calls.Load(); got != 0 {
+		t.Errorf("%d backend calls after a full resume, want 0", got)
 	}
 }

@@ -256,6 +256,9 @@ func parseSpecSet(p []byte) ([]string, bool) {
 	}
 	count := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
+	if count > len(p)/4 { // every key carries a 4-byte length
+		return nil, false
+	}
 	specs := make([]string, 0, count)
 	for i := 0; i < count; i++ {
 		if len(p) < 4 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func testKeys(n int) []string {
 
 // writeFullJournal writes a complete campaign journal (spec set + one
 // result per key) and returns its bytes.
-func writeFullJournal(t *testing.T, path string, keys []string) []byte {
+func writeFullJournal(t testing.TB, path string, keys []string) []byte {
 	t.Helper()
 	j, rep, err := Open(path)
 	if err != nil {
@@ -397,4 +398,64 @@ func TestCampaignPath(t *testing.T) {
 	if filepath.Dir(a) != dir {
 		t.Errorf("path %s not under %s", a, dir)
 	}
+}
+
+// specSetPoison is a header plus one CRC-valid spec-set frame whose
+// count (0xFFFFFFF0) no 5-byte payload can hold. Sizing the key slice
+// from that count asks the runtime for ~64 GB, a fatal error no
+// recover can catch.
+func specSetPoison() []byte {
+	payload := binary.LittleEndian.AppendUint32([]byte{frameSpecSet}, 0xFFFFFFF0)
+	data := binary.LittleEndian.AppendUint32([]byte(magic), FormatVersion)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
+	data = append(data, payload...)
+	return binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+}
+
+func TestOpenSpecSetCountBeyondPayload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "poison.wbj")
+	if err := os.WriteFile(path, specSetPoison(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	j, rep, err := Open(path)
+	if err != nil {
+		return
+	}
+	defer j.Close()
+	if rep.Specs != nil || rep.Frames != 0 {
+		t.Errorf("poison replayed specs %v and %d frames", rep.Specs, rep.Frames)
+	}
+}
+
+// FuzzJournalOpen feeds arbitrary files to Open, which reads whatever a
+// -journal path holds. Open either refuses the file or recovers its
+// longest valid prefix; opening the recovered file again replays the
+// same frames and truncates nothing.
+func FuzzJournalOpen(f *testing.F) {
+	dir := f.TempDir()
+	full := writeFullJournal(f, filepath.Join(dir, "seed.wbj"), testKeys(2))
+	f.Add(full)
+	f.Add(full[:len(full)-3])
+	f.Add(specSetPoison())
+	f.Add(specSetPoison()[:headerSize])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.wbj")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		j, rep, err := Open(path)
+		if err != nil {
+			return
+		}
+		j.Close()
+		j, again, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopening a recovered journal: %v", err)
+		}
+		j.Close()
+		if again.Frames != rep.Frames || len(again.Specs) != len(rep.Specs) || again.TruncatedBytes != 0 {
+			t.Fatalf("reopen replayed %d frames, %d specs, truncated %d; first open replayed %d frames, %d specs",
+				again.Frames, len(again.Specs), again.TruncatedBytes, rep.Frames, len(rep.Specs))
+		}
+	})
 }

@@ -77,64 +77,6 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestStoreGCPinnedNeverEvicted(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin before any bound exists: the pre-pin must survive SetMaxBytes.
-	st.Pin(gcKey(0))
-	size := putN(t, st, 4)
-	if err := st.SetMaxBytes(4 * size); err != nil {
-		t.Fatal(err)
-	}
-	st.Pin(gcKey(1)) // pin after the bound, too
-	for i := 4; i < 10; i++ {
-		if err := st.Put(gcKey(i), gcResult(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Evictions() == 0 {
-		t.Fatal("no evictions under a 4-record bound with 10 records written")
-	}
-	for _, i := range []int{0, 1} {
-		if st.Get(gcKey(i)) == nil {
-			t.Errorf("pinned record %d was evicted", i)
-		}
-	}
-	if got := st.Pinned(); got != 2 {
-		t.Errorf("Pinned() = %d, want 2", got)
-	}
-}
-
-// TestStoreGCBoundYieldsToPins: when everything under the bound is
-// pinned, the bound yields rather than evicting journal-referenced
-// records — Bytes may exceed MaxBytes, nothing pinned is removed.
-func TestStoreGCBoundYieldsToPins(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := putN(t, st, 3)
-	for i := 0; i < 3; i++ {
-		st.Pin(gcKey(i))
-	}
-	if err := st.SetMaxBytes(size); err != nil { // bound: one record
-		t.Fatal(err)
-	}
-	if st.Evictions() != 0 {
-		t.Fatalf("evicted %d pinned records", st.Evictions())
-	}
-	if st.Bytes() != 3*size {
-		t.Errorf("Bytes = %d, want %d (bound yields to pins)", st.Bytes(), 3*size)
-	}
-	for i := 0; i < 3; i++ {
-		if st.Get(gcKey(i)) == nil {
-			t.Errorf("pinned record %d missing", i)
-		}
-	}
-}
-
 // TestStoreGCScanSeedsFromModTime: SetMaxBytes on a pre-populated store
 // learns existing sizes and evicts oldest-modified first.
 func TestStoreGCScanSeedsFromModTime(t *testing.T) {

@@ -34,8 +34,6 @@ type Store struct {
 	// gc is the optional size-bound state (see gc.go). Zero value =
 	// unbounded, no tracking.
 	gc storeGC
-	// prePins holds hashes pinned before a bound was set.
-	prePins map[string]bool
 }
 
 // Binary record format (DESIGN.md §14). The full key is stored

@@ -488,7 +488,6 @@ func (s *Server) Metrics() api.Metrics {
 			Bytes:     st.Bytes(),
 			MaxBytes:  st.MaxBytes(),
 			Evictions: st.Evictions(),
-			Pinned:    st.Pinned(),
 		}
 	}
 	if s.JournalStats != nil {

@@ -79,11 +79,11 @@ func buildBzip2(in Input, scale float64) (*compiler.Source, MemInit) {
 						}}},
 						Then: []compiler.Node{escapePath},
 						Else: []compiler.Node{literalPath},
-						Prof: compiler.Profile{TakenProb: 0.3, MispredRate: 0.30, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.3, MispredRate: 0.30},
 					},
 					// Run-length loop: trips re-randomized each pass — the
 					// dominant wish-loop population. Input A has shorter,
-					// more regular runs (trips 2..3) than input C.
+					// more regular runs (trips 2..3) than input C (2..5).
 					compiler.S(append(uniformMix(7, 3, 13, tripBits),
 						isa.ALUI(isa.OpAdd, 7, 7, 2),
 						isa.MovI(8, 0))...),
@@ -94,12 +94,10 @@ func buildBzip2(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 8, 8, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 8, 7)),
-						Prof: compiler.LoopProfile{AvgTrip: 3.5, MispredRate: 0.25},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

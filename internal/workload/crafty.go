@@ -69,7 +69,7 @@ func buildCrafty(in Input, scale float64) (*compiler.Source, MemInit) {
 						}},
 						Then: []compiler.Node{capture},
 						Else: []compiler.Node{quiet},
-						Prof: compiler.Profile{TakenProb: 0.45, MispredRate: 0.05, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.45, MispredRate: 0.05},
 					},
 					// Piece-value hammock: never taken — perfectly
 					// predictable at run time, profiled hard.
@@ -89,7 +89,7 @@ func buildCrafty(in Input, scale float64) (*compiler.Source, MemInit) {
 					},
 					// Evaluate the position (exercises the RAS).
 					compiler.Call{Name: "evaluate"},
-					// Move-generation loop: small variable trips,
+					// Move-generation loop: small variable trips (1..4),
 					// re-randomized each pass.
 					compiler.S(append(uniformMix(10, 2, 13, 2),
 						isa.ALUI(isa.OpAdd, 10, 10, 1),
@@ -101,12 +101,10 @@ func buildCrafty(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 11, 11, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 11, 10)),
-						Prof: compiler.LoopProfile{AvgTrip: 2.5, MispredRate: 0.2},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 		Subs: []compiler.Subroutine{{

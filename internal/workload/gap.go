@@ -62,7 +62,7 @@ func buildGap(in Input, scale float64) (*compiler.Source, MemInit) {
 						Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 3, 1<<16/100*hardPct)),
 						Then: []compiler.Node{compiler.S(wideBlock(3, 4, 0x25)...)},
 						Else: []compiler.Node{compiler.S(wideBlock(3, 4, 0xC9)...)},
-						Prof: compiler.Profile{TakenProb: float64(hardPct) / 100, MispredRate: 0.03, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: float64(hardPct) / 100, MispredRate: 0.03},
 					},
 					// Fixed-trip limb loop: trips of 4, fully predictable —
 					// a wish loop that runs in high-confidence mode.
@@ -74,7 +74,6 @@ func buildGap(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 11, 11, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 11, 4)),
-						Prof: compiler.LoopProfile{AvgTrip: 4, MispredRate: 0.01},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 					// Next element + pass-mixed operand for the following
@@ -84,7 +83,6 @@ func buildGap(in Input, scale float64) (*compiler.Source, MemInit) {
 						uniformMix(3, 2, 13, 16)...)...),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

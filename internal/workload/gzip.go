@@ -68,7 +68,7 @@ func buildGzip(in Input, scale float64) (*compiler.Source, MemInit) {
 						}}},
 						Then: []compiler.Node{match},
 						Else: []compiler.Node{literal},
-						Prof: compiler.Profile{TakenProb: 0.5, MispredRate: 0.04, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.5, MispredRate: 0.04},
 					},
 					// Match-extension loop: trip = 2 + (mixed byte & 3),
 					// variable and unpredictable but low-variance, so
@@ -86,7 +86,6 @@ func buildGzip(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 9, 9, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 9, 8)),
-						Prof: compiler.LoopProfile{AvgTrip: 3.5, MispredRate: 0.2},
 					},
 					// Flags hammock: a pure position pattern ((i&3) != 3,
 					// 75% taken) the predictor learns perfectly; profiled
@@ -108,7 +107,6 @@ func buildGzip(in Input, scale float64) (*compiler.Source, MemInit) {
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

@@ -155,12 +155,10 @@ func buildMcf(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 10, 10, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 10, 3)),
-						Prof: compiler.LoopProfile{AvgTrip: 3, MispredRate: 0.02},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, steps)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(steps), MispredRate: 0.001},
 			},
 		},
 	}

@@ -65,7 +65,7 @@ func buildParser(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALU(isa.OpSub, 16, 16, 6),
 							isa.ALUI(isa.OpXor, 16, 16, 3),
 						)},
-						Prof: compiler.Profile{TakenProb: 0.5, MispredRate: 0.35, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.5, MispredRate: 0.35},
 					},
 					// Word-match loop: trips 1..2^tripBits, uniform and
 					// re-randomized each pass — the wish-loop showcase
@@ -81,7 +81,6 @@ func buildParser(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 7, 7, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 7, 4)),
-						Prof: compiler.LoopProfile{AvgTrip: 2.5, MispredRate: 0.3},
 					},
 					// Suffix-check hammock: small and moderately hard.
 					compiler.S(isa.ALUI(isa.OpAnd, 8, 3, 7)),
@@ -97,7 +96,6 @@ func buildParser(in Input, scale float64) (*compiler.Source, MemInit) {
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

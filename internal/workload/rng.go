@@ -34,24 +34,12 @@ func (r *rng) intn(n int64) int64 {
 	return int64(r.next() % uint64(n))
 }
 
-// geometric returns a value in [1, max] with a distribution skewed
-// toward small values (p(k) halves per step); used for "small but
-// variable and unpredictable" loop trip counts (§3.2).
-func (r *rng) geometric(max int64) int64 {
-	v := int64(1)
-	for v < max && r.next()&1 == 0 {
-		v++
-	}
-	return v
-}
-
 // Memory layout shared by the benchmarks: each array lives in its own
 // region, far enough apart that regions never overlap at the sizes the
 // workloads use.
 const (
-	dataBase  = 1 << 20 // primary input array
-	auxBase   = 1 << 22 // secondary array
-	hashBase  = 1 << 23 // hash-table region (sized to miss in L2)
-	tableBase = 1 << 25 // large table region
-	nodeBase  = 1 << 27 // linked-structure region
+	dataBase = 1 << 20 // primary input array
+	auxBase  = 1 << 22 // secondary array
+	hashBase = 1 << 23 // hash-table region (sized to miss in L2)
+	nodeBase = 1 << 27 // linked-structure region
 )

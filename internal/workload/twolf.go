@@ -71,7 +71,7 @@ func buildTwolf(in Input, scale float64) (*compiler.Source, MemInit) {
 						}}},
 						Then: []compiler.Node{accept},
 						Else: []compiler.Node{reject},
-						Prof: compiler.Profile{TakenProb: 0.75, MispredRate: 0.12, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.75, MispredRate: 0.12},
 					},
 					// Net-displacement loop: trips 2 normally, 3 or 5 on the
 					// irregular tail.
@@ -91,7 +91,6 @@ func buildTwolf(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 9, 9, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 9, 8)),
-						Prof: compiler.LoopProfile{AvgTrip: 2.5, MispredRate: 0.25},
 					},
 					// Overlap check: pattern-predictable at run time but
 					// profiled hard (BASE-DEF pays overhead).
@@ -112,7 +111,6 @@ func buildTwolf(in Input, scale float64) (*compiler.Source, MemInit) {
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

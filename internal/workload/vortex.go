@@ -76,13 +76,11 @@ func buildVortex(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 5, 5, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 5, 4)),
-						Prof: compiler.LoopProfile{AvgTrip: 4, MispredRate: 0.01},
 					},
 					compiler.Call{Name: "touch"},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 		Subs: []compiler.Subroutine{{

@@ -76,7 +76,7 @@ func buildVpr(in Input, scale float64) (*compiler.Source, MemInit) {
 						}}},
 						Then: []compiler.Node{accept},
 						Else: []compiler.Node{reject},
-						Prof: compiler.Profile{TakenProb: 0.7, MispredRate: 0.15, InputDependent: true},
+						Prof: compiler.Profile{TakenProb: 0.7, MispredRate: 0.15},
 					},
 					// Net-scan loop: trips of 2 normally, 3 or 5 on
 					// irregular elements — a prime wish-loop candidate
@@ -97,12 +97,10 @@ func buildVpr(in Input, scale float64) (*compiler.Source, MemInit) {
 							isa.ALUI(isa.OpAdd, 11, 11, 1),
 						)},
 						Cond: compiler.CondOf(compiler.TermRR(isa.CmpLT, 11, 4)),
-						Prof: compiler.LoopProfile{AvgTrip: 2.5, MispredRate: 0.25},
 					},
 					compiler.S(isa.ALUI(isa.OpAdd, 1, 1, 1)),
 				},
 				Cond: compiler.CondOf(compiler.TermRI(isa.CmpLT, 1, n)),
-				Prof: compiler.LoopProfile{AvgTrip: float64(n), MispredRate: 0.001},
 			},
 		},
 	}

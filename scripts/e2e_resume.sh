@@ -18,10 +18,13 @@
 # Part 3 — worker write-ahead journal:
 #   6. SIGKILL a `wishsimd -journal` worker (bounded store) while a
 #      `wishbench -server` campaign runs against it,
-#   7. restart it on the same journal and store and assert it resumed
-#      frames (journal.resumed >= 1 in /metrics), pinned every resumed
-#      key in its store (store.pinned >= journal.resumed), and that a
-#      rerun through it is byte-identical to the local control run.
+#   7. delete its store directory, restart it on the same journal and
+#      assert it resumed frames (journal.resumed >= 1 in /metrics),
+#      that a rerun through it is byte-identical to the local control
+#      run, and that the rerun read nothing from a store (lab.disk_hits
+#      0) and simulated exactly the runs the journal lacked (lab.fresh =
+#      the control run's fresh count - journal.resumed): the journal
+#      alone carries a resume.
 #
 # Runnable locally (./scripts/e2e_resume.sh) and from CI. Needs curl;
 # uses jq when present and a grep fallback when not.
@@ -217,22 +220,27 @@ kill -9 "$JWORKER_PID" 2>/dev/null || true
 wait "$WBENCH_PID" 2>/dev/null || true # client fails with the worker down
 echo "worker SIGKILLed after ≥1 journaled result"
 
-echo "== part 3: restart the worker on the same journal and store =="
+echo "== part 3: restart the worker on the same journal, store deleted =="
+rm -rf "$WORK/wstore"
 start_jworker
 grep -Eq 'journal .*resumed_frames=[1-9]' "$WORK/jworker.log" \
   || fail "restarted worker resumed no frames"
 WRESUMED=$(metric "$JWORKER" .journal.resumed resumed)
 [[ "$WRESUMED" -ge 1 ]] || fail "worker /metrics journal.resumed is $WRESUMED, want >= 1"
-PINNED=$(metric "$JWORKER" .store.pinned pinned)
-[[ "$PINNED" -ge "$WRESUMED" ]] \
-  || fail "worker store pins $PINNED keys, fewer than the $WRESUMED it resumed"
-echo "worker resumed $WRESUMED frames and pins $PINNED store keys"
+echo "worker resumed $WRESUMED frames with an empty store"
 
 echo "== part 3: rerun through the restarted worker =="
 "$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -server "$JWORKER" \
   >"$WORK/wresumed.out" 2>"$WORK/wresumed.err"
 cmp "$WORK/control.out" "$WORK/wresumed.out" \
   || fail "post-restart worker stdout differs from the local control run"
-echo "post-restart worker run is byte-identical"
+CFRESH=$(grep -Eo '[0-9]+ fresh simulations' "$WORK/control.err" | head -1 | grep -Eo '^[0-9]+' || true)
+[[ -n "$CFRESH" ]] || fail "control run printed no fresh-simulation count"
+WDISK=$(metric "$JWORKER" .lab.disk_hits disk_hits)
+WFRESH=$(metric "$JWORKER" .lab.fresh fresh)
+[[ "$WDISK" -eq 0 ]] || fail "worker lab.disk_hits is $WDISK after its store was deleted, want 0"
+[[ "$WFRESH" -eq $((CFRESH - WRESUMED)) ]] \
+  || fail "worker lab.fresh is $WFRESH, want $CFRESH control runs - $WRESUMED resumed"
+echo "post-restart worker run is byte-identical: $WRESUMED runs from the journal, $WFRESH fresh, 0 store hits"
 
 echo "e2e_resume: PASS"
