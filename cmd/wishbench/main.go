@@ -34,6 +34,7 @@ import (
 	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/obs"
+	"wishbranch/internal/workload"
 )
 
 func main() {
@@ -47,6 +48,10 @@ func main() {
 	rf := cliflags.RegisterRemote(flag.CommandLine)
 	pf := cliflags.RegisterProfile(flag.CommandLine)
 	flag.Parse()
+	if err := workload.ValidateScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "wishbench: %v\n", err)
+		os.Exit(1)
+	}
 
 	stopProfiles, err := pf.Start("wishbench")
 	if err != nil {

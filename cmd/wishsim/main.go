@@ -48,6 +48,9 @@ func main() {
 	)
 	pf := cliflags.RegisterProfile(flag.CommandLine)
 	flag.Parse()
+	if err := workload.ValidateScale(*scale); err != nil {
+		fail("%v", err)
+	}
 
 	b, ok := workload.ByName(*bench)
 	if !ok {

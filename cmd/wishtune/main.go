@@ -53,6 +53,10 @@ func run() int {
 	rf := cliflags.RegisterRemote(flag.CommandLine)
 	pf := cliflags.RegisterProfile(flag.CommandLine)
 	flag.Parse()
+	if err := workload.ValidateScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "wishtune: %v\n", err)
+		return 1
+	}
 
 	stopProfiles, err := pf.Start("wishtune")
 	if err != nil {

@@ -147,3 +147,44 @@ func TestCampaignStreamMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBinWire drives the client-side binary decoders with arbitrary
+// bytes: DecodeRunResponse, DecodeCampaignItem, and ReadCampaignStream
+// expecting n%4 items. Each must fail with an error wrapping
+// ErrBinWire, or accept a value that re-encodes to the input byte for
+// byte (a response or an item) or holds exactly the expected number of
+// items (a stream).
+func FuzzBinWire(f *testing.F) {
+	ok := CampaignItem{Key: "key-0", Result: wireResult(1)}
+	failed := CampaignItem{Key: "key-1", Err: "item 1 failed"}
+	stream := AppendStreamItemFrame(nil, 1, &failed)
+	stream = AppendStreamItemFrame(stream, 0, &ok)
+	f.Add(uint8(0), AppendRunResponse(nil, "v3|bench=gzip", wireResult(7)))
+	f.Add(uint8(1), AppendCampaignItem(nil, &ok))
+	f.Add(uint8(1), AppendCampaignItem(nil, &failed))
+	f.Add(uint8(2), AppendStreamEndFrame(stream, 2))
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		wireErr := func(what string, err error) {
+			if !errors.Is(err, ErrBinWire) {
+				t.Fatalf("%s: error %v does not wrap ErrBinWire", what, err)
+			}
+		}
+		var resp RunResponse
+		if err := DecodeRunResponse(data, &resp); err != nil {
+			wireErr("run response", err)
+		} else if re := AppendRunResponse(nil, resp.Key, resp.Result); !bytes.Equal(re, data) {
+			t.Fatalf("accepted run response does not re-encode to itself:\nin:  %x\nout: %x", data, re)
+		}
+		if item, err := DecodeCampaignItem(data); err != nil {
+			wireErr("campaign item", err)
+		} else if re := AppendCampaignItem(nil, &item); !bytes.Equal(re, data) {
+			t.Fatalf("accepted campaign item does not re-encode to itself:\nin:  %x\nout: %x", data, re)
+		}
+		want := int(n % 4)
+		if items, err := ReadCampaignStream(bytes.NewReader(data), want); err != nil {
+			wireErr("campaign stream", err)
+		} else if len(items) != want {
+			t.Fatalf("accepted stream holds %d items, want %d", len(items), want)
+		}
+	})
+}

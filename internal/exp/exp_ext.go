@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/stats"
 	"wishbranch/internal/workload"
 )
@@ -16,108 +16,109 @@ import (
 // thresholds of §4.2.2). These extension experiments implement all
 // three.
 
-// avgJJL returns the average normalized execution time of the wish
-// jump/join/loop binary under machine m (AVG and AVGnomcf).
-func avgJJL(l *Lab, m *config.Machine) (avg, avgNoMcf float64, err error) {
-	var all, nomcf []float64
-	for _, bench := range BenchNames() {
-		n, err := l.Norm(bench, workload.InputA, compiler.WishJumpJoinLoop, m, m)
-		if err != nil {
-			return 0, 0, err
-		}
-		all = append(all, n)
-		if bench != "mcf" {
-			nomcf = append(nomcf, n)
-		}
-	}
-	return stats.Mean(all), stats.Mean(nomcf), nil
+// loopPredConfigs are the ext-loop-pred table rows.
+var loopPredConfigs = []struct {
+	name string
+	on   bool
+	bias int
+}{
+	{"off (hybrid only)", false, 0},
+	{"on, bias 0", true, 0},
+	{"on, bias +1", true, 1},
+	{"on, bias +2", true, 2},
 }
 
-// ExtLoopPredictor evaluates the §3.2/§7 suggestion: a trip-count loop
+// extLoopPredictor evaluates the §3.2/§7 suggestion: a trip-count loop
 // predictor for wish loops, optionally biased to over-estimate
 // iteration counts so mispredicted exits skew late (cheap) rather than
 // early (a flush).
-func ExtLoopPredictor(l *Lab, w io.Writer) error {
-	t := stats.NewTable(
-		"Wish jump/join/loop binary with a trip-count loop predictor (normalized to normal binary)",
-		"loop predictor", "AVG", "AVGnomcf", "late-exit/1M (parser)", "early-exit/1M (parser)")
+func extLoopPredictor(l *Lab) *report {
+	r := &report{}
+	var rows []row
 	for _, cfg := range loopPredConfigs {
 		m := config.DefaultMachine()
 		m.UseLoopPredictor = cfg.on
 		m.LoopPredictorBias = cfg.bias
-		avg, noMcf, err := avgJJL(l, m)
-		if err != nil {
-			return err
-		}
-		r, err := l.Result("parser", workload.InputA, compiler.WishJumpJoinLoop, m)
-		if err != nil {
-			return err
-		}
-		t.AddRow(cfg.name, stats.F(avg), stats.F(noMcf),
-			fmt.Sprintf("%.0f", r.WishPer1M(r.WishLoop.LowLate)),
-			fmt.Sprintf("%.0f", r.WishPer1M(r.WishLoop.LowEarly)))
+		avg := r.avgJJL(l, m)
+		p := r.run(l.Spec("parser", workload.InputA, compiler.WishJumpJoinLoop, m)) // repeats avgJJL's run
+		rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+			return []string{cfg.name, stats.F(avg[0](rs)), stats.F(avg[1](rs)),
+				per1M(rs[p], rs[p].WishLoop.LowLate), per1M(rs[p], rs[p].WishLoop.LowEarly)}, nil
+		})
 	}
-	t.Fprint(w)
-	fmt.Fprintln(w, "\nA positive bias trades early exits (pipeline flushes) for late exits")
-	fmt.Fprintln(w, "(NOP drain), the direction §3.2 of the paper predicts.")
-	return nil
+	r.table("Wish jump/join/loop binary with a trip-count loop predictor (normalized to normal binary)",
+		[]string{"loop predictor", "AVG", "AVGnomcf", "late-exit/1M (parser)", "early-exit/1M (parser)"}, rows,
+		"\nA positive bias trades early exits (pipeline flushes) for late exits",
+		"(NOP drain), the direction §3.2 of the paper predicts.")
+	return r
 }
 
-// ExtConfidence sweeps the confidence estimator's threshold and history
+// jrsConfigs are the ext-confidence table rows.
+var jrsConfigs = []struct {
+	name    string
+	thr     int
+	history int
+}{
+	{"threshold 2, PC-indexed", 2, 0},
+	{"threshold 4, PC-indexed", 4, 0},
+	{"threshold 8, PC-indexed (default)", 8, 0},
+	{"threshold 12, PC-indexed", 12, 0},
+	{"threshold 8, 4-bit history", 8, 4},
+	{"threshold 8, 16-bit history (Table 2 literal)", 8, 16},
+}
+
+// extConfidence sweeps the confidence estimator's threshold and history
 // indexing — the "more accurate confidence estimation mechanisms" the
 // paper's conclusion calls for.
-func ExtConfidence(l *Lab, w io.Writer) error {
-	t := stats.NewTable(
-		"Wish jump/join/loop binary vs confidence estimator configuration",
-		"JRS config", "AVG", "AVGnomcf")
+func extConfidence(l *Lab) *report {
+	r := &report{}
+	var rows []row
 	for _, cfg := range jrsConfigs {
 		m := config.DefaultMachine()
 		m.JRS.Threshold = cfg.thr
 		m.JRS.HistoryBits = cfg.history
-		avg, noMcf, err := avgJJL(l, m)
-		if err != nil {
-			return err
-		}
-		t.AddRow(cfg.name, stats.F(avg), stats.F(noMcf))
+		rows = append(rows, cells(cfg.name, r.avgJJL(l, m)...))
 	}
 	// The oracle bound.
 	m := config.DefaultMachine()
 	m.PerfectConfidence = true
-	avg, noMcf, err := avgJJL(l, m)
-	if err != nil {
-		return err
-	}
-	t.AddRow("perfect confidence (oracle)", stats.F(avg), stats.F(noMcf))
-	t.Fprint(w)
-	fmt.Fprintln(w, "\nHistory-indexed variants split each branch across contexts that must")
-	fmt.Fprintln(w, "be trained separately; with a 16-bit index almost nothing reaches high")
-	fmt.Fprintln(w, "confidence (see EXPERIMENTS.md, 'modified JRS').")
-	return nil
+	rows = append(rows, cells("perfect confidence (oracle)", r.avgJJL(l, m)...))
+	r.table("Wish jump/join/loop binary vs confidence estimator configuration",
+		[]string{"JRS config", "AVG", "AVGnomcf"}, rows,
+		"\nHistory-indexed variants split each branch across contexts that must",
+		"be trained separately; with a 16-bit index almost nothing reaches high",
+		"confidence (see EXPERIMENTS.md, 'modified JRS').")
+	return r
 }
 
-// ExtThresholds sweeps the §4.2.2 compile-time conversion thresholds
-// N (wish jump fall-through size) and L (wish loop body size), which
-// the paper explicitly left untuned.
-func ExtThresholds(l *Lab, w io.Writer) error {
-	old := l.Thresholds
-	defer func() { l.Thresholds = old }()
+// Threshold sweep points of ext-thresholds (L=2 disables loop
+// conversion entirely).
+var (
+	extThresholdN = []int{2, 5, 12}
+	extThresholdL = []int{2, 30}
+)
 
-	t := stats.NewTable(
-		"Wish jump/join/loop binary vs compiler conversion thresholds",
-		"N (jump)", "L (loop)", "AVG", "AVGnomcf")
+// extThresholds sweeps the §4.2.2 compile-time conversion thresholds
+// N (wish jump fall-through size) and L (wish loop body size), which
+// the paper explicitly left untuned. Each point declares its specs
+// through a copy of the lab carrying that point's thresholds.
+func extThresholds(l *Lab) *report {
+	r := &report{}
+	var rows []row
 	for _, n := range extThresholdN {
 		for _, lim := range extThresholdL {
-			l.Thresholds = compiler.Thresholds{WishJump: n, WishLoop: lim}
-			avg, noMcf, err := avgJJL(l, config.DefaultMachine())
-			if err != nil {
-				return err
-			}
-			t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", lim),
-				stats.F(avg), stats.F(noMcf))
+			pt := *l
+			pt.Thresholds = compiler.Thresholds{WishJump: n, WishLoop: lim}
+			avg := r.avgJJL(&pt, config.DefaultMachine())
+			rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+				return []string{fmt.Sprintf("%d", n), fmt.Sprintf("%d", lim),
+					stats.F(avg[0](rs)), stats.F(avg[1](rs))}, nil
+			})
 		}
 	}
-	t.Fprint(w)
-	fmt.Fprintln(w, "\nN and L trade wish-branch instruction overhead against hardware")
-	fmt.Fprintln(w, "adaptivity; the paper's untuned N=5/L=30 sit in the flat middle.")
-	return nil
+	r.table("Wish jump/join/loop binary vs compiler conversion thresholds",
+		[]string{"N (jump)", "L (loop)", "AVG", "AVGnomcf"}, rows,
+		"\nN and L trade wish-branch instruction overhead against hardware",
+		"adaptivity; the paper's untuned N=5/L=30 sit in the flat middle.")
+	return r
 }

@@ -6,17 +6,18 @@ import (
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/isa"
 	"wishbranch/internal/stats"
 	"wishbranch/internal/workload"
 )
 
-// Table1 reproduces Table 1: the prediction each wish branch in the
+// table1 reproduces Table 1: the prediction each wish branch in the
 // Figure 6 region receives for every combination of confidence
 // estimates, per the cascade rule implemented in the front end (a wish
 // join is forced not-taken if the wish jump, any earlier join, or the
 // join itself is low-confidence).
-func Table1(l *Lab, w io.Writer) error {
+func table1(l *Lab, w io.Writer) error {
 	t := stats.NewTable("Prediction of multiple wish branches (Figure 6 region: jump A, joins C and D)",
 		"conf jump(A)", "conf join(C)", "conf join(D)",
 		"pred jump(A)", "pred join(C)", "pred join(D)")
@@ -60,9 +61,9 @@ func Table1(l *Lab, w io.Writer) error {
 	return nil
 }
 
-// Table2 prints the baseline machine configuration (the paper's
+// table2 prints the baseline machine configuration (the paper's
 // Table 2), as actually instantiated by this simulator.
-func Table2(l *Lab, w io.Writer) error {
+func table2(l *Lab, w io.Writer) error {
 	m := config.DefaultMachine()
 	t := stats.NewTable("Baseline processor configuration", "component", "setting")
 	t.AddRow("front end", fmt.Sprintf("%d-wide fetch; up to %d cond. branches/cycle; fetch ends at first taken branch",
@@ -84,10 +85,10 @@ func Table2(l *Lab, w io.Writer) error {
 	return nil
 }
 
-// Table3 prints the five binary variants per benchmark with their
+// table3 prints the five binary variants per benchmark with their
 // static branch inventory, realizing the paper's Table 3 as a measured
 // artifact.
-func Table3(l *Lab, w io.Writer) error {
+func table3(l *Lab, w io.Writer) error {
 	t := stats.NewTable("Static conditional branches (wish branches in parentheses) per binary, input A",
 		"benchmark", "normal", "base-def", "base-max", "wish-jj", "wish-jjl", "µops(jjl)")
 	for _, b := range workload.All() {
@@ -110,122 +111,113 @@ func Table3(l *Lab, w io.Writer) error {
 	return nil
 }
 
-// Table4 reproduces Table 4: dynamic µop counts, branch counts,
+// table4 reproduces Table 4: dynamic µop counts, branch counts,
 // misprediction rates, and wish branch populations.
-func Table4(l *Lab, w io.Writer) error {
+func table4(l *Lab) *report {
+	r := &report{}
 	m := config.DefaultMachine()
-	t := stats.NewTable("Simulated benchmark characteristics (input A, baseline machine)",
-		"benchmark", "dyn µops", "static br", "dyn br", "mispred/1Kµops",
-		"static wish (%loop)", "dyn wish (%loop)")
+	var rows []row
 	for _, b := range workload.All() {
-		src, _ := b.Build(workload.InputA, l.Scale)
-		normal, err := compiler.Compile(src, compiler.NormalBranch)
-		if err != nil {
-			return err
-		}
-		condStatic, _ := normal.StaticCondBranches()
-
-		rn, err := l.Result(b.Name, workload.InputA, compiler.NormalBranch, m)
-		if err != nil {
-			return err
-		}
-		rw, err := l.Result(b.Name, workload.InputA, compiler.WishJumpJoinLoop, m)
-		if err != nil {
-			return err
-		}
-		jjl, err := compiler.Compile(src, compiler.WishJumpJoinLoop)
-		if err != nil {
-			return err
-		}
-		staticWish, staticLoops := 0, 0
-		for _, in := range jjl.Code {
-			if in.IsWish() {
-				staticWish++
-				if in.WType == isa.WLoop {
-					staticLoops++
+		n := r.run(l.Spec(b.Name, workload.InputA, compiler.NormalBranch, m))
+		w := r.run(l.Spec(b.Name, workload.InputA, compiler.WishJumpJoinLoop, m))
+		rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+			src, _ := b.Build(workload.InputA, l.Scale)
+			normal, err := compiler.Compile(src, compiler.NormalBranch)
+			if err != nil {
+				return nil, err
+			}
+			condStatic, _ := normal.StaticCondBranches()
+			jjl, err := compiler.Compile(src, compiler.WishJumpJoinLoop)
+			if err != nil {
+				return nil, err
+			}
+			staticWish, staticLoops := 0, 0
+			for _, in := range jjl.Code {
+				if in.IsWish() {
+					staticWish++
+					if in.WType == isa.WLoop {
+						staticLoops++
+					}
 				}
 			}
-		}
-		dynWish := rw.WishBranches()
-		dynLoops := rw.WishLoop.Total()
-		pct := func(part, whole uint64) string {
-			if whole == 0 {
-				return "0%"
-			}
-			return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
-		}
-		t.AddRow(b.Name,
-			fmt.Sprintf("%d", rn.RetiredUops),
-			fmt.Sprintf("%d", condStatic),
-			fmt.Sprintf("%d", rn.CondBranches),
-			fmt.Sprintf("%.1f", rn.MispredPer1K()),
-			fmt.Sprintf("%d (%s)", staticWish, pctInt(staticLoops, staticWish)),
-			fmt.Sprintf("%d (%s)", dynWish, pct(dynLoops, dynWish)),
-		)
+			rn, dynWish := rs[n], rs[w].WishBranches()
+			return []string{b.Name,
+				fmt.Sprintf("%d", rn.RetiredUops),
+				fmt.Sprintf("%d", condStatic),
+				fmt.Sprintf("%d", rn.CondBranches),
+				fmt.Sprintf("%.1f", rn.MispredPer1K()),
+				fmt.Sprintf("%d (%s)", staticWish, pct(uint64(staticLoops), uint64(staticWish))),
+				fmt.Sprintf("%d (%s)", dynWish, pct(rs[w].WishLoop.Total(), dynWish)),
+			}, nil
+		})
 	}
-	t.Fprint(w)
-	return nil
+	r.table("Simulated benchmark characteristics (input A, baseline machine)",
+		[]string{"benchmark", "dyn µops", "static br", "dyn br", "mispred/1Kµops",
+			"static wish (%loop)", "dyn wish (%loop)"}, rows)
+	return r
 }
 
-func pctInt(part, whole int) string {
+func pct(part, whole uint64) string {
 	if whole == 0 {
 		return "0%"
 	}
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
 }
 
-// Table5 reproduces Table 5: execution-time reduction of the wish
+// table5 reproduces Table 5: execution-time reduction of the wish
 // jump/join/loop binary over (1) the normal binary, (2) the best
 // predicated binary per benchmark, and (3) the best non-wish binary per
 // benchmark — the last comparison being "unrealistic" in the paper's
 // words, since no compiler can pick the best binary ahead of time.
-func Table5(l *Lab, w io.Writer) error {
+func table5(l *Lab) *report {
+	r := &report{}
 	m := config.DefaultMachine()
-	t := stats.NewTable("Execution-time reduction of wish-jjl binary (real confidence, input A)",
-		"benchmark", "vs normal", "vs best predicated", "vs best non-wish", "best binary")
-	var vsN, vsP, vsB []float64
+	var rows []row
+	var benches [][4]int
 	for _, bench := range BenchNames() {
-		cy := func(v compiler.Variant) (float64, error) {
-			r, err := l.Result(bench, workload.InputA, v, m)
-			if err != nil {
-				return 0, err
-			}
-			return float64(r.Cycles), nil
+		var runs [4]int
+		for j, v := range []compiler.Variant{
+			compiler.NormalBranch, compiler.BaseDef, compiler.BaseMax, compiler.WishJumpJoinLoop,
+		} {
+			runs[j] = r.run(l.Spec(bench, workload.InputA, v, m))
 		}
-		normal, err := cy(compiler.NormalBranch)
-		if err != nil {
-			return err
-		}
-		def, err := cy(compiler.BaseDef)
-		if err != nil {
-			return err
-		}
-		max, err := cy(compiler.BaseMax)
-		if err != nil {
-			return err
-		}
-		wish, err := cy(compiler.WishJumpJoinLoop)
-		if err != nil {
-			return err
-		}
-		bestPred, bestPredName := def, "DEF"
-		if max < def {
-			bestPred, bestPredName = max, "MAX"
-		}
-		best, bestName := bestPred, bestPredName
-		if normal < best {
-			best, bestName = normal, "BR"
-		}
-		redN := 1 - wish/normal
-		redP := 1 - wish/bestPred
-		redB := 1 - wish/best
-		vsN = append(vsN, redN)
-		vsP = append(vsP, redP)
-		vsB = append(vsB, redB)
-		t.AddRow(bench, stats.Pct(redN), stats.Pct(redP)+" ("+bestPredName+")",
-			stats.Pct(redB), bestName)
+		benches = append(benches, runs)
+		rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+			red, bestPred, best := wishReductions(rs, runs)
+			return []string{bench, stats.Pct(red[0]), stats.Pct(red[1]) + " (" + bestPred + ")",
+				stats.Pct(red[2]), best}, nil
+		})
 	}
-	t.AddRow("AVG", stats.Pct(stats.Mean(vsN)), stats.Pct(stats.Mean(vsP)), stats.Pct(stats.Mean(vsB)), "")
-	t.Fprint(w)
-	return nil
+	rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+		var vs [3][]float64
+		for _, runs := range benches {
+			red, _, _ := wishReductions(rs, runs)
+			for k := range vs {
+				vs[k] = append(vs[k], red[k])
+			}
+		}
+		return []string{"AVG", stats.Pct(stats.Mean(vs[0])), stats.Pct(stats.Mean(vs[1])),
+			stats.Pct(stats.Mean(vs[2])), ""}, nil
+	})
+	r.table("Execution-time reduction of wish-jjl binary (real confidence, input A)",
+		[]string{"benchmark", "vs normal", "vs best predicated", "vs best non-wish", "best binary"}, rows)
+	return r
+}
+
+// wishReductions returns the wish-jjl binary's execution-time
+// reductions over the normal, the best predicated and the best non-wish
+// binary, and the names of the last two. runs holds the runs of the
+// normal, BASE-DEF, BASE-MAX and wish-jjl binaries.
+func wishReductions(rs []*cpu.Result, runs [4]int) (red [3]float64, bestPred, best string) {
+	cy := func(j int) float64 { return float64(rs[runs[j]].Cycles) }
+	normal, def, max, wish := cy(0), cy(1), cy(2), cy(3)
+	bp, bestPred := def, "DEF"
+	if max < def {
+		bp, bestPred = max, "MAX"
+	}
+	b, best := bp, bestPred
+	if normal < b {
+		b, best = normal, "BR"
+	}
+	return [3]float64{1 - wish/normal, 1 - wish/bp, 1 - wish/b}, bestPred, best
 }

@@ -12,11 +12,11 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/conf"
 	"wishbranch/internal/config"
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/stats"
 	"wishbranch/internal/workload"
@@ -68,50 +68,37 @@ func tuneSensSpec(l *Lab, bench, axis string, v int) lab.Spec {
 	return s
 }
 
-func tuneSensRuns(l *Lab) []lab.Spec {
-	var specs []lab.Spec
-	for _, bench := range tuneSensBenches {
-		for _, ax := range tuneSensAxes() {
-			for _, v := range ax.vals {
-				specs = append(specs, tuneSensSpec(l, bench, ax.name, v))
-			}
-		}
-	}
-	return specs
-}
-
-// TuneSens renders the single-axis sensitivity table. Negative
+// tuneSens declares the single-axis sensitivity table. Negative
 // "vs default" is a cycle reduction; a 0.0% row means the default
 // already wins that axis alone.
-func TuneSens(l *Lab, w io.Writer) error {
-	t := stats.NewTable(
-		"Per-workload single-axis tuning headroom (wish jump/join/loop binary)",
-		"bench", "axis", "default", "best", "best cycles", "vs default")
+func tuneSens(l *Lab) *report {
+	r := &report{}
+	var rows []row
 	for _, bench := range tuneSensBenches {
 		for _, ax := range tuneSensAxes() {
-			base, err := l.Sched.Result(tuneSensSpec(l, bench, ax.name, ax.def))
-			if err != nil {
-				return err
-			}
-			bestVal, bestCycles := ax.def, base.Cycles
+			var runs []int
 			for _, v := range ax.vals {
-				r, err := l.Sched.Result(tuneSensSpec(l, bench, ax.name, v))
-				if err != nil {
-					return err
-				}
-				if r.Cycles < bestCycles {
-					bestVal, bestCycles = v, r.Cycles
-				}
+				runs = append(runs, r.run(tuneSensSpec(l, bench, ax.name, v)))
 			}
-			delta := (float64(bestCycles) - float64(base.Cycles)) / float64(base.Cycles)
-			t.AddRow(bench, ax.name,
-				fmt.Sprintf("%d", ax.def), fmt.Sprintf("%d", bestVal),
-				fmt.Sprintf("%d", bestCycles), stats.Pct(delta))
+			base := r.run(tuneSensSpec(l, bench, ax.name, ax.def)) // also in the grid; Warm dedupes it
+			rows = append(rows, func(rs []*cpu.Result) ([]string, error) {
+				bestVal, bestCycles := ax.def, rs[base].Cycles
+				for k, v := range ax.vals {
+					if c := rs[runs[k]].Cycles; c < bestCycles {
+						bestVal, bestCycles = v, c
+					}
+				}
+				delta := (float64(bestCycles) - float64(rs[base].Cycles)) / float64(rs[base].Cycles)
+				return []string{bench, ax.name,
+					fmt.Sprintf("%d", ax.def), fmt.Sprintf("%d", bestVal),
+					fmt.Sprintf("%d", bestCycles), stats.Pct(delta)}, nil
+			})
 		}
 	}
-	t.Fprint(w)
-	fmt.Fprintln(w, "\nEach row moves one knob with the rest at the paper's defaults; the")
-	fmt.Fprintln(w, "best joint setting is found by the auto-tuner (cmd/wishtune), which")
-	fmt.Fprintln(w, "searches all axes at once with successive halving plus hill-climb.")
-	return nil
+	r.table("Per-workload single-axis tuning headroom (wish jump/join/loop binary)",
+		[]string{"bench", "axis", "default", "best", "best cycles", "vs default"}, rows,
+		"\nEach row moves one knob with the rest at the paper's defaults; the",
+		"best joint setting is found by the auto-tuner (cmd/wishtune), which",
+		"searches all axes at once with successive halving plus hill-climb.")
+	return r
 }

@@ -1,10 +1,10 @@
 // Package exp reproduces the paper's evaluation: one runner per table
-// and figure (see DESIGN.md's per-experiment index). Simulations are
-// scheduled through internal/lab: each experiment declares its run-set
-// up front (Experiment.Runs) so whole figures — or whole campaigns —
-// can be warmed in parallel and served from the persistent result
-// store; rendering then proceeds serially from the warm cache, so the
-// output is byte-identical regardless of the worker count.
+// and figure (see DESIGN.md's per-experiment index), scheduled through
+// internal/lab. Each table cell declares the runs it reads (report.go),
+// so an experiment's run-set (Experiment.Runs) comes from the code that
+// renders it: whole campaigns are warmed in parallel and served from
+// the persistent result store, then rendered serially from the warm
+// cache, so the output is byte-identical regardless of the worker count.
 package exp
 
 import (
@@ -14,7 +14,6 @@ import (
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
-	"wishbranch/internal/stats"
 	"wishbranch/internal/workload"
 )
 
@@ -27,7 +26,7 @@ type Lab struct {
 	// Scale is the workload size multiplier for every run.
 	Scale float64
 	// Thresholds are the compiler's §4.2.2 conversion thresholds
-	// (swept by ext-thresholds).
+	// (ext-thresholds sweeps them on copies of the lab).
 	Thresholds compiler.Thresholds
 	// Sched executes and caches the runs; configure Sched.Workers,
 	// Sched.Store, and Sched.Log for parallelism, persistence, and
@@ -98,38 +97,13 @@ func BenchNames() []string {
 	return names
 }
 
-// avgRows appends the AVG and AVGnomcf rows the paper reports (mcf
-// skews the average, footnote 2).
-func avgRows(perBench map[string][]float64, cols int, add func(label string, vals []float64)) {
-	names := BenchNames()
-	all := make([][]float64, cols)
-	nomcf := make([][]float64, cols)
-	for _, n := range names {
-		vals := perBench[n]
-		for i := 0; i < cols && i < len(vals); i++ {
-			all[i] = append(all[i], vals[i])
-			if n != "mcf" {
-				nomcf[i] = append(nomcf[i], vals[i])
-			}
-		}
-	}
-	avg := make([]float64, cols)
-	avgN := make([]float64, cols)
-	for i := 0; i < cols; i++ {
-		avg[i] = stats.Mean(all[i])
-		avgN[i] = stats.Mean(nomcf[i])
-	}
-	add("AVG", avg)
-	add("AVGnomcf", avgN)
-}
-
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string
 	Title string
-	// Runs declares the experiment's full run-set up front, so a
-	// scheduler can batch it (or the union of several experiments)
-	// across workers. Nil means the experiment needs no simulations.
+	// Runs lists every run the experiment's tables read, so a scheduler
+	// can batch it (or the union of several experiments) across
+	// workers. Nil means the experiment needs no simulations.
 	Runs func(l *Lab) []lab.Spec
 	// Run renders the table or figure. It reads every simulation
 	// through l serially, so its output does not depend on how Runs
@@ -149,25 +123,25 @@ func Run(e Experiment, l *Lab, w io.Writer) error {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", "Figure 1: predicated vs non-predicated execution time across inputs", fig1Runs, Fig1},
-		{"fig2", "Figure 2: overhead decomposition of predicated execution (oracle study)", fig2Runs, Fig2},
-		{"table1", "Table 1: prediction of multiple wish branches in complex control flow", nil, Table1},
-		{"table2", "Table 2: baseline processor configuration", nil, Table2},
-		{"table3", "Table 3: binary variants per benchmark (static inventory)", nil, Table3},
-		{"table4", "Table 4: simulated benchmark characteristics", table4Runs, Table4},
-		{"fig10", "Figure 10: performance of wish jump/join binaries", fig10Runs, Fig10},
-		{"fig11", "Figure 11: dynamic wish branches per 1M µops by confidence", fig11Runs, Fig11},
-		{"fig12", "Figure 12: performance of wish jump/join/loop binaries", fig12Runs, Fig12},
-		{"fig13", "Figure 13: dynamic wish loops per 1M µops by confidence and exit class", fig13Runs, Fig13},
-		{"table5", "Table 5: wish binary vs best-performing binary per benchmark", table5Runs, Table5},
-		{"fig14", "Figure 14: sensitivity to instruction window size (128/256/512)", fig14Runs, Fig14},
-		{"fig15", "Figure 15: sensitivity to pipeline depth (10/20/30)", fig15Runs, Fig15},
-		{"fig16", "Figure 16: wish branches on a select-µop processor", fig16Runs, Fig16},
-		{"ext-loop-pred", "Extension (§7 future work): biased trip-count wish-loop predictor", extLoopPredRuns, ExtLoopPredictor},
-		{"ext-confidence", "Extension (§7 future work): confidence estimator design sweep", extConfidenceRuns, ExtConfidence},
-		{"ext-thresholds", "Extension (§7 future work): compiler N/L threshold sweep", extThresholdRuns, ExtThresholds},
-		{"tune-sens", "Extension: per-workload single-axis tuning headroom (joint search: cmd/wishtune)", tuneSensRuns, TuneSens},
-		{"obs-stalls", "Observability: stall-taxonomy cycle accounting and top offending branches", obsRuns, ObsStalls},
+		simulated("fig1", "Figure 1: predicated vs non-predicated execution time across inputs", fig1),
+		simulated("fig2", "Figure 2: overhead decomposition of predicated execution (oracle study)", fig2),
+		{"table1", "Table 1: prediction of multiple wish branches in complex control flow", nil, table1},
+		{"table2", "Table 2: baseline processor configuration", nil, table2},
+		{"table3", "Table 3: binary variants per benchmark (static inventory)", nil, table3},
+		simulated("table4", "Table 4: simulated benchmark characteristics", table4),
+		simulated("fig10", "Figure 10: performance of wish jump/join binaries", fig10),
+		simulated("fig11", "Figure 11: dynamic wish branches per 1M µops by confidence", fig11),
+		simulated("fig12", "Figure 12: performance of wish jump/join/loop binaries", fig12),
+		simulated("fig13", "Figure 13: dynamic wish loops per 1M µops by confidence and exit class", fig13),
+		simulated("table5", "Table 5: wish binary vs best-performing binary per benchmark", table5),
+		simulated("fig14", "Figure 14: sensitivity to instruction window size (128/256/512)", fig14),
+		simulated("fig15", "Figure 15: sensitivity to pipeline depth (10/20/30)", fig15),
+		simulated("fig16", "Figure 16: wish branches on a select-µop processor", fig16),
+		simulated("ext-loop-pred", "Extension (§7 future work): biased trip-count wish-loop predictor", extLoopPredictor),
+		simulated("ext-confidence", "Extension (§7 future work): confidence estimator design sweep", extConfidence),
+		simulated("ext-thresholds", "Extension (§7 future work): compiler N/L threshold sweep", extThresholds),
+		simulated("tune-sens", "Extension: per-workload single-axis tuning headroom (joint search: cmd/wishtune)", tuneSens),
+		simulated("obs-stalls", "Observability: stall-taxonomy cycle accounting and top offending branches", obsStalls),
 	}
 }
 

@@ -74,13 +74,8 @@ func (s Spec) Validate() error {
 	if s.Machine == nil {
 		return fmt.Errorf("lab: %s: nil machine", s.Bench)
 	}
-	if s.Scale <= 0 {
-		return fmt.Errorf("lab: %s: non-positive scale %v (use workload.DefaultScale)", s.Bench, s.Scale)
-	}
-	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 1) {
-		// Both pass the test above, and workload sizing clamps either
-		// to a one-iteration program labelled with a meaningless scale.
-		return fmt.Errorf("lab: %s: non-finite scale %v", s.Bench, s.Scale)
+	if err := workload.ValidateScale(s.Scale); err != nil {
+		return fmt.Errorf("lab: %s: %w", s.Bench, err)
 	}
 	if err := s.Thresholds.Validate(); err != nil {
 		return fmt.Errorf("lab: %s: %w", s.Bench, err)

@@ -54,8 +54,8 @@ func (t *Table) Validate() error {
 	if len(t.Workloads) == 0 {
 		return fmt.Errorf("tune: table has no workloads")
 	}
-	if t.Scale <= 0 {
-		return fmt.Errorf("tune: non-positive scale %v", t.Scale)
+	if err := workload.ValidateScale(t.Scale); err != nil {
+		return fmt.Errorf("tune: %w", err)
 	}
 	for _, w := range t.Workloads {
 		if _, ok := workload.ByName(w.Bench); !ok {

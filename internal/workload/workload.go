@@ -34,6 +34,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"wishbranch/internal/compiler"
@@ -128,6 +129,19 @@ func ByName(name string) (Benchmark, bool) {
 // so concurrent simulations at different scales cannot
 // cross-contaminate.
 const DefaultScale = 1.0
+
+// ValidateScale reports a scale no workload can be built at: zero,
+// negative, NaN or infinite. Sizing would clamp any of them to a
+// one-iteration program labelled with a meaningless scale.
+func ValidateScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("non-finite scale %v", scale)
+	}
+	if scale <= 0 {
+		return fmt.Errorf("non-positive scale %v (default %v)", scale, DefaultScale)
+	}
+	return nil
+}
 
 func scaled(n int64, scale float64) int64 {
 	v := int64(float64(n) * scale)

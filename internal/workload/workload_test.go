@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"wishbranch/internal/compiler"
@@ -117,5 +118,24 @@ func TestParseInput(t *testing.T) {
 	}
 	if _, err := ParseInput("D"); err == nil {
 		t.Error("ParseInput accepted an unknown input")
+	}
+}
+
+func TestValidateScale(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{0, false},
+		{-1, false},
+		{math.Inf(-1), false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{0.02, true},
+		{1.0, true},
+	} {
+		if err := ValidateScale(c.scale); (err == nil) != c.ok {
+			t.Errorf("ValidateScale(%v) = %v, want ok=%v", c.scale, err, c.ok)
+		}
 	}
 }
