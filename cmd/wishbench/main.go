@@ -146,7 +146,10 @@ func main() {
 	for _, e := range exps {
 		start := time.Now()
 		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		if err := exp.Run(e, l, os.Stdout); err != nil {
+		// The campaign-wide Warm above covered every experiment's runs,
+		// so render directly rather than through exp.Run, which would
+		// warm them a second time.
+		if err := e.Run(l, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "wishbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}

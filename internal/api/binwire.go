@@ -244,6 +244,30 @@ func AppendStreamEndFrame(dst []byte, count int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(count))
 }
 
+// streamChunk is how much of an item's claimed size ReadCampaignStream
+// allocates before reading any of it. A larger item's buffer doubles as
+// its bytes arrive, so what a stream makes the client allocate is a
+// small multiple of what it sends plus streamChunk, whatever sizes it
+// claims.
+const streamChunk = 64 << 10
+
+// readItemBody reads an item body of the claimed size, growing the
+// buffer only as bytes arrive. A body up to streamChunk bytes is one
+// allocation.
+func readItemBody(r io.Reader, size int) ([]byte, error) {
+	body := make([]byte, min(size, streamChunk))
+	for n := 0; ; {
+		k, err := io.ReadFull(r, body[n:])
+		if n += k; err != nil {
+			return nil, err
+		}
+		if n == size {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(size-n, n))...)
+	}
+}
+
 // ReadCampaignStream consumes a campaign stream of exactly n items,
 // returning them in request order. Every malformed condition — unknown tag,
 // out-of-range or duplicate index, a body that fails to parse, a
@@ -281,8 +305,8 @@ func ReadCampaignStream(r io.Reader, n int) ([]CampaignItem, error) {
 			if size > MaxWireStringBytes {
 				return nil, fmt.Errorf("%w: stream item %d claims %d bytes", ErrBinWire, arg, size)
 			}
-			body := make([]byte, size)
-			if _, err := io.ReadFull(r, body); err != nil {
+			body, err := readItemBody(r, size)
+			if err != nil {
 				return nil, fmt.Errorf("%w: stream cut in item %d body: %v", ErrBinWire, arg, err)
 			}
 			item, err := DecodeCampaignItem(body)

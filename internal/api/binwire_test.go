@@ -2,9 +2,13 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"wishbranch/internal/cpu"
@@ -148,12 +152,50 @@ func TestCampaignStreamMalformed(t *testing.T) {
 	}
 }
 
+// TestReadCampaignStreamAllocBound: a stream's claimed item sizes do
+// not size its allocations; the bytes it sends do. A 9-byte stream
+// whose one item claims 16 MiB used to cost 16,777,851 bytes before it
+// failed; now it may allocate less than 1 MiB.
+func TestReadCampaignStreamAllocBound(t *testing.T) {
+	wire := []byte{StreamItemTag, 0, 0, 0, 0}
+	wire = binary.LittleEndian.AppendUint32(wire, MaxWireStringBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCampaignStream(bytes.NewReader(wire), 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBinWire) {
+		t.Fatalf("err = %v, want ErrBinWire", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a %d-byte stream claiming a %d-byte item allocated %d bytes, want < 1 MiB",
+			len(wire), MaxWireStringBytes, got)
+	}
+
+	// A large item that really arrives is read whole.
+	item := CampaignItem{Key: strings.Repeat("k", 3*streamChunk), Result: wireResult(5)}
+	wire = AppendStreamEndFrame(AppendStreamItemFrame(nil, 0, &item), 1)
+	items, err := ReadCampaignStream(bytes.NewReader(wire), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(items[0], item) {
+		t.Errorf("a %d-byte item did not round-trip", len(wire))
+	}
+}
+
 // FuzzBinWire drives the client-side binary decoders with arbitrary
 // bytes: DecodeRunResponse, DecodeCampaignItem, and ReadCampaignStream
 // expecting n%4 items. Each must fail with an error wrapping
 // ErrBinWire, or accept a value that re-encodes to the input byte for
 // byte (a response or an item) or holds exactly the expected number of
 // items (a stream).
+//
+// Allocation bound: no decoder sizes a buffer from a claimed length
+// beyond what it has read. A length prefix past the input fails before
+// any allocation, and ReadCampaignStream allocates at most 64 KiB of a
+// stream item before its bytes arrive, then grows the buffer with them,
+// so any input costs O(len(data) + 64 KiB) bytes
+// (TestReadCampaignStreamAllocBound).
 func FuzzBinWire(f *testing.F) {
 	ok := CampaignItem{Key: "key-0", Result: wireResult(1)}
 	failed := CampaignItem{Key: "key-1", Err: "item 1 failed"}

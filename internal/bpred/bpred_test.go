@@ -250,10 +250,19 @@ func TestLoopPredictorBias(t *testing.T) {
 
 func TestCtr2Property(t *testing.T) {
 	f := func(updates []bool) bool {
-		c := ctr2(2)
+		var c ctr2 // weakly taken
+		if c.value() != 2 || !c.taken() {
+			return false
+		}
+		v := 2
 		for _, u := range updates {
 			c = c.update(u)
-			if c > 3 {
+			if u {
+				v = min(v+1, 3)
+			} else {
+				v = max(v-1, 0)
+			}
+			if int(c.value()) != v || c.taken() != (v >= 2) {
 				return false
 			}
 		}

@@ -9,8 +9,8 @@ package bpred
 type BTB struct {
 	ways    int
 	setMask uint64
-	tags    [][]uint64 // 0 = invalid; stored as pc+1
-	lru     [][]uint32
+	tags    []uint64 // way w of set s at s*ways+w; 0 = invalid, else pc+1
+	lru     []uint32 // same layout as tags
 	clock   uint32
 }
 
@@ -20,25 +20,28 @@ func NewBTB(entries, ways int) *BTB {
 	if entries <= 0 || entries&(entries-1) != 0 || ways <= 0 || entries%ways != 0 {
 		panic("bpred: BTB entries must be a power of two divisible by ways")
 	}
-	sets := entries / ways
-	b := &BTB{ways: ways, setMask: uint64(sets - 1)}
-	b.tags = make([][]uint64, sets)
-	b.lru = make([][]uint32, sets)
-	for i := range b.tags {
-		b.tags[i] = make([]uint64, ways)
-		b.lru[i] = make([]uint32, ways)
+	return &BTB{
+		ways:    ways,
+		setMask: uint64(entries/ways - 1),
+		tags:    make([]uint64, entries),
+		lru:     make([]uint32, entries),
 	}
-	return b
+}
+
+// set returns the tag and LRU entries of pc's set.
+func (b *BTB) set(pc uint64) ([]uint64, []uint32) {
+	i := int(pc&b.setMask) * b.ways
+	return b.tags[i : i+b.ways], b.lru[i : i+b.ways]
 }
 
 // Lookup reports whether the branch at pc hits, and marks a hit most
 // recently used.
 func (b *BTB) Lookup(pc uint64) bool {
-	set := pc & b.setMask
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == pc+1 {
+	tags, lru := b.set(pc)
+	for w, t := range tags {
+		if t == pc+1 {
 			b.clock++
-			b.lru[set][w] = b.clock
+			lru[w] = b.clock
 			return true
 		}
 	}
@@ -48,24 +51,20 @@ func (b *BTB) Lookup(pc uint64) bool {
 // Insert installs pc, or refreshes it if present, evicting LRU on
 // conflict.
 func (b *BTB) Insert(pc uint64) {
-	set := pc & b.setMask
+	tags, lru := b.set(pc)
 	victim := 0
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == pc+1 {
+	for w, t := range tags {
+		if t == pc+1 || t == 0 {
 			victim = w
 			break
 		}
-		if b.tags[set][w] == 0 {
-			victim = w
-			break
-		}
-		if b.lru[set][w] < b.lru[set][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	b.clock++
-	b.tags[set][victim] = pc + 1
-	b.lru[set][victim] = b.clock
+	tags[victim] = pc + 1
+	lru[victim] = b.clock
 }
 
 // RAS is a fixed-depth return address stack with overwrite-on-overflow

@@ -10,29 +10,26 @@
 // flushes, which is what an aggressive out-of-order front end does.
 package bpred
 
-// ctr2 is a 2-bit saturating counter; values 0..3, taken when >= 2.
+// ctr2 is a 2-bit saturating counter; values 0..3, taken when >= 2,
+// starting weakly taken (2). It is stored as value^2, so the zero
+// value is the initial state and a fresh table needs no fill: the
+// predictor's three 64K-entry tables come zeroed from make.
 type ctr2 uint8
 
-func (c ctr2) taken() bool { return c >= 2 }
+// value returns the counter's value, 0..3.
+func (c ctr2) value() uint8 { return uint8(c) ^ 2 }
+
+func (c ctr2) taken() bool { return c.value() >= 2 }
 
 func (c ctr2) update(taken bool) ctr2 {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
+	v := c.value()
+	if taken && v < 3 {
+		v++
+	} else if !taken && v > 0 {
+		v--
 	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
+	return ctr2(v ^ 2)
 }
 
 // newCtrTable returns n weakly-taken counters.
-func newCtrTable(n int) []ctr2 {
-	t := make([]ctr2, n)
-	for i := range t {
-		t[i] = 2
-	}
-	return t
-}
+func newCtrTable(n int) []ctr2 { return make([]ctr2, n) }

@@ -15,26 +15,23 @@ import (
 // of predicated instructions (§2.1, §5.3.3).
 func (c *CPU) dispatch() {
 	for n := 0; n < c.cfg.FetchWidth && c.fqCount > 0; n++ {
-		u := c.fqFront()
+		id := c.fq[c.fqHead]
+		u := &c.uops[id]
 		if u.dispReady > c.cycle {
 			return
 		}
-		need := 1
-		if c.needsSelect(u) {
-			need = 2
-		}
-		if c.robCount+need > len(c.rob) {
+		if c.windowFull(u) {
 			c.acctFull = true
 			return
 		}
 		c.fqPopFront()
-		c.rename(u)
+		c.rename(id, u)
 	}
 }
 
 // needsSelect reports whether dispatching u injects a select µop.
 func (c *CPU) needsSelect(u *uop) bool {
-	in := u.inst
+	in := &c.code[u.pc]
 	if c.cfg.PredMech != config.SelectUop || in.Guard == isa.P0 || in.IsBranch() {
 		return false
 	}
@@ -49,84 +46,87 @@ func (c *CPU) needsSelect(u *uop) bool {
 // tables. They used to be closures inside rename; as methods the calls
 // are direct (and mostly inlined), which matters because rename runs
 // once per dispatched µop.
-func (c *CPU) addIntSrcs(u *uop, in *isa.Inst) {
+func (c *CPU) addIntSrcs(id uid, u *uop, in *isa.Inst) {
 	srcs, n := in.IntSrcs()
 	for i := 0; i < n; i++ {
 		if srcs[i] != isa.R0 {
-			u.addDep(c.intWriter[srcs[i]])
+			c.addDep(id, u, c.intWriter[srcs[i]])
 		}
 	}
 }
 
-func (c *CPU) addPredSrcs(u *uop, in *isa.Inst) {
+func (c *CPU) addPredSrcs(id uid, u *uop, in *isa.Inst) {
 	ps, n := in.ReadsPredSrcs()
 	for i := 0; i < n; i++ {
 		if ps[i] != isa.P0 {
-			u.addDep(c.predWriter[ps[i]])
+			c.addDep(id, u, c.predWriter[ps[i]])
 		}
 	}
 }
 
-func (c *CPU) addLoadDeps(u *uop, in *isa.Inst) {
+func (c *CPU) addLoadDeps(id uid, u *uop, in *isa.Inst) {
 	if in.Op != isa.OpLoad {
 		return
 	}
-	if w := c.storeWriter.get(u.addr >> 3); w != nil && !w.squashed && w.seq < u.seq {
-		u.fwdStore = true
-		u.addDep(w) // store-to-load forwarding once the store executes
+	if w := c.storeWriter.get(u.addr >> 3); w != 0 {
+		if s := &c.uops[w]; !s.squashed && s.seq < u.seq {
+			u.fwdStore = true
+			c.addDep(id, u, w) // store-to-load forwarding once the store executes
+		}
 	}
 }
 
-func (c *CPU) addOldDstDeps(u *uop, in *isa.Inst) {
+func (c *CPU) addOldDstDeps(id uid, u *uop, in *isa.Inst) {
 	if in.WritesInt() {
-		u.addDep(c.intWriter[in.Dst])
+		c.addDep(id, u, c.intWriter[in.Dst])
 	}
 	if in.WritesPred() {
 		if in.PDst != isa.PNone && in.PDst != isa.P0 {
-			u.addDep(c.predWriter[in.PDst])
+			c.addDep(id, u, c.predWriter[in.PDst])
 		}
 		if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 {
-			u.addDep(c.predWriter[in.PDst2])
+			c.addDep(id, u, c.predWriter[in.PDst2])
 		}
 	}
 }
 
 // rename computes u's dependences, updates the fetch-order writer
 // tables, allocates window entries, and wakes u if already ready.
-func (c *CPU) rename(u *uop) {
-	in := u.inst
+func (c *CPU) rename(id uid, u *uop) {
+	in := &c.code[u.pc]
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Seq: u.seq, PC: u.pc, Kind: obs.EvRename})
 	}
 
 	guarded := in.Guard != isa.P0 && !in.IsBranch()
 	oracle := c.cfg.NoPredDepend || c.cfg.NoFalseFetch
+	var sid uid // the injected select µop, if any
 	var sel *uop
 
 	switch {
 	case in.IsBranch():
 		if in.Op == isa.OpBr && in.Guard != isa.P0 {
-			u.addDep(c.predWriter[in.Guard]) // resolution needs the real predicate
+			c.addDep(id, u, c.predWriter[in.Guard]) // resolution needs the real predicate
 		}
 		if in.Op == isa.OpJmpInd || in.Op == isa.OpRet {
-			c.addIntSrcs(u, in)
+			c.addIntSrcs(id, u, in)
 		}
 	case guarded && oracle:
 		// NO-DEPEND (and NO-FETCH): predicate dependencies ideally
 		// removed; a predicated-false µop is a free NOP.
 		if u.guardVal {
-			c.addIntSrcs(u, in)
-			c.addPredSrcs(u, in)
-			c.addLoadDeps(u, in)
+			c.addIntSrcs(id, u, in)
+			c.addPredSrcs(id, u, in)
+			c.addLoadDeps(id, u, in)
 		}
 	case guarded && u.predElim:
 		// Predicate dependency elimination hit: the guard is assumed
 		// ready with the predicted value (§3.5.3). A mispredicted value
 		// is repaired by the wish branch's own flush.
 		if u.predElimVal {
-			c.addIntSrcs(u, in)
-			c.addPredSrcs(u, in)
-			c.addLoadDeps(u, in)
+			c.addIntSrcs(id, u, in)
+			c.addPredSrcs(id, u, in)
+			c.addLoadDeps(id, u, in)
 		}
 	case guarded && c.cfg.PredMech == config.SelectUop &&
 		!in.WritesInt() && !in.WritesPred():
@@ -136,44 +136,34 @@ func (c *CPU) rename(u *uop) {
 		// overflow the window. The store consumes its predicate directly
 		// instead: the store buffer cannot release a predicated store
 		// until its guard resolves.
-		c.addIntSrcs(u, in)
-		c.addPredSrcs(u, in)
-		c.addLoadDeps(u, in)
-		u.addDep(c.predWriter[in.Guard])
+		c.addIntSrcs(id, u, in)
+		c.addPredSrcs(id, u, in)
+		c.addLoadDeps(id, u, in)
+		c.addDep(id, u, c.predWriter[in.Guard])
 	case guarded && c.cfg.PredMech == config.SelectUop:
 		// The predicated µop executes without its predicate; the select
 		// µop merges old/new values and carries the dependents.
-		c.addIntSrcs(u, in)
-		c.addPredSrcs(u, in)
-		c.addLoadDeps(u, in)
-		sel = c.newUop()
-		sel.seq, sel.pc, sel.inst, sel.isSelect = u.seq, u.pc, in, true
+		c.addIntSrcs(id, u, in)
+		c.addPredSrcs(id, u, in)
+		c.addLoadDeps(id, u, in)
+		sid, sel = c.newUop()
+		sel.seq, sel.pc, sel.isSelect = u.seq, u.pc, true
 		sel.wrongPath, sel.guardVal = u.wrongPath, u.guardVal
-		sel.addDep(u)
-		sel.addDep(c.predWriter[in.Guard])
-		if in.WritesInt() {
-			sel.addDep(c.intWriter[in.Dst])
-		}
-		if in.WritesPred() {
-			if in.PDst != isa.PNone && in.PDst != isa.P0 {
-				sel.addDep(c.predWriter[in.PDst])
-			}
-			if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 {
-				sel.addDep(c.predWriter[in.PDst2])
-			}
-		}
+		c.addDep(sid, sel, id)
+		c.addDep(sid, sel, c.predWriter[in.Guard])
+		c.addOldDstDeps(sid, sel, in)
 	case guarded:
 		// C-style conditional expression: reads the guard and the old
 		// destination value as extra sources; always writes.
-		c.addIntSrcs(u, in)
-		c.addPredSrcs(u, in)
-		c.addLoadDeps(u, in)
-		u.addDep(c.predWriter[in.Guard])
-		c.addOldDstDeps(u, in)
+		c.addIntSrcs(id, u, in)
+		c.addPredSrcs(id, u, in)
+		c.addLoadDeps(id, u, in)
+		c.addDep(id, u, c.predWriter[in.Guard])
+		c.addOldDstDeps(id, u, in)
 	default:
-		c.addIntSrcs(u, in)
-		c.addPredSrcs(u, in)
-		c.addLoadDeps(u, in)
+		c.addIntSrcs(id, u, in)
+		c.addPredSrcs(id, u, in)
+		c.addLoadDeps(id, u, in)
 	}
 
 	// Writer updates in fetch order. With C-style conversion a guarded
@@ -183,35 +173,40 @@ func (c *CPU) rename(u *uop) {
 	// knowledge, or a predicted-false predicate in high-confidence mode)
 	// is transparent: consumers keep depending on the previous writer,
 	// as ideal renaming would arrange.
-	if c.updatesWriters(u) {
-		writer := u
+	if c.updatesWriters(u, in) {
+		writer := id
 		if sel != nil {
-			writer = sel
+			writer = sid
 		}
-		if in.WritesInt() {
-			c.intWriter[in.Dst] = writer
-		}
-		if in.WritesPred() {
-			if in.PDst != isa.PNone && in.PDst != isa.P0 {
-				c.predWriter[in.PDst] = writer
-			}
-			if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 {
-				c.predWriter[in.PDst2] = writer
-			}
-		}
+		c.setWriters(in, writer)
 	}
 	if in.Op == isa.OpStore && u.guardVal {
-		c.storeWriter.put(u.addr>>3, u)
+		c.storeWriter.put(u.addr>>3, id)
 	}
 
-	c.robPush(u)
+	c.robPush(id)
 	if u.pendingDeps == 0 {
-		c.readyQ.push(u)
+		c.readyQ.push(u.seq, id)
 	}
 	if sel != nil {
-		c.robPush(sel)
+		c.robPush(sid)
 		if sel.pendingDeps == 0 {
-			c.readyQ.push(sel)
+			c.readyQ.push(sel.seq, sid)
+		}
+	}
+}
+
+// setWriters makes id the rename writer of in's destinations.
+func (c *CPU) setWriters(in *isa.Inst, id uid) {
+	if in.WritesInt() {
+		c.intWriter[in.Dst] = id
+	}
+	if in.WritesPred() {
+		if in.PDst != isa.PNone && in.PDst != isa.P0 {
+			c.predWriter[in.PDst] = id
+		}
+		if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 {
+			c.predWriter[in.PDst2] = id
 		}
 	}
 }
@@ -221,8 +216,7 @@ func (c *CPU) rename(u *uop) {
 // whose guard is architecturally false under the NO-DEPEND/NO-FETCH
 // oracles, or predicted false by the predicate dependency elimination
 // buffer.
-func (c *CPU) updatesWriters(u *uop) bool {
-	in := u.inst
+func (c *CPU) updatesWriters(u *uop, in *isa.Inst) bool {
 	if in.Guard == isa.P0 || in.IsBranch() {
 		return true
 	}
@@ -239,19 +233,21 @@ func (c *CPU) updatesWriters(u *uop) bool {
 // their completion times.
 func (c *CPU) issue() {
 	for n := 0; n < c.cfg.IssueWidth && len(c.readyQ) > 0; {
-		u := c.readyQ.pop()
+		id := c.readyQ.pop()
+		u := &c.uops[id]
 		if u.squashed {
 			// Defensive: flush compacts the queue, so squashed entries
 			// should never surface here.
 			continue
 		}
 		u.doneCycle = c.execute(u)
+		e := compEvent{u.doneCycle, u.seq, id}
 		if u.doneCycle == c.cycle+1 {
 			// Latency-1 fast lane: appended in ascending seq order (the
 			// ready queue pops oldest-first), all due next cycle.
-			c.nextComp = append(c.nextComp, compEvent{u.doneCycle, u})
+			c.nextComp = append(c.nextComp, e)
 		} else {
-			c.compQ.push(compEvent{u.doneCycle, u})
+			c.compQ.push(e)
 		}
 		n++
 	}
@@ -259,10 +255,10 @@ func (c *CPU) issue() {
 
 // execute returns the completion cycle of u issued this cycle.
 func (c *CPU) execute(u *uop) uint64 {
-	in := u.inst
 	if u.isSelect {
 		return c.cycle + 1
 	}
+	in := &c.code[u.pc]
 	switch in.Op {
 	case isa.OpLoad:
 		access := u.guardVal
@@ -286,9 +282,10 @@ func (c *CPU) execute(u *uop) uint64 {
 // completions drains finished µops for this cycle, wakes dependents,
 // and resolves branches that require recovery decisions, oldest first.
 // The resolve batch is a reused scratch slice: a batch entry squashed
-// (and therefore pool-recycled) by an older entry's flush is skipped
-// via its squashed flag, which stays readable until the pool hands the
-// µop out again — reallocation only happens in later pipeline stages.
+// (and therefore returned to the arena) by an older entry's flush is
+// skipped via its squashed flag, which stays readable until the arena
+// hands the slot out again — reallocation only happens in later
+// pipeline stages.
 func (c *CPU) completions() {
 	// Merge the latency-1 lane (all due this cycle, ascending seq) with
 	// the heap by (cycle, seq), so the pop order is identical to the
@@ -301,68 +298,49 @@ drain:
 	for {
 		laneDue := li < len(lane) && lane[li].cycle <= c.cycle
 		heapDue := len(c.compQ) > 0 && c.compQ[0].cycle <= c.cycle
-		var u *uop
+		var id uid
 		switch {
 		case laneDue && (!heapDue ||
 			c.compQ[0].cycle > lane[li].cycle ||
-			(c.compQ[0].cycle == lane[li].cycle && c.compQ[0].u.seq > lane[li].u.seq)):
-			u = lane[li].u
-			lane[li] = compEvent{}
+			(c.compQ[0].cycle == lane[li].cycle && c.compQ[0].seq > lane[li].seq)):
+			id = lane[li].id
 			li++
 		case heapDue:
-			u = c.compQ.pop().u
+			id = c.compQ.pop().id
 		default:
 			break drain
 		}
+		u := &c.uops[id]
 		if u.squashed {
 			continue // defensive: flush compacts the queue
 		}
 		u.done = true
-		deps := u.dependents
-		for _, d := range deps {
-			if d.squashed || d.done {
-				continue
-			}
-			d.pendingDeps--
-			if d.pendingDeps == 0 {
-				c.readyQ.push(d)
-			}
-		}
-		for i := range deps {
-			deps[i] = nil
-		}
-		u.dependents = deps[:0] // keep the chunk for reuse after recycling
+		c.wake(u)
 		if (u.mispredict || u.deferred) && !u.wrongPath {
-			c.resolved = append(c.resolved, u)
+			c.resolved = append(c.resolved, id)
 		}
 	}
 	if li == len(lane) {
 		c.nextComp = lane[:0]
 	} else if li > 0 {
-		n := copy(lane, lane[li:])
-		for i := n; i < len(lane); i++ {
-			lane[i] = compEvent{}
-		}
-		c.nextComp = lane[:n]
+		c.nextComp = lane[:copy(lane, lane[li:])]
 	}
 	if len(c.resolved) == 0 {
 		return
 	}
 	// Oldest first: an older flush squashes younger resolutions.
-	for i := 1; i < len(c.resolved); i++ {
-		for j := i; j > 0 && c.resolved[j].seq < c.resolved[j-1].seq; j-- {
-			c.resolved[j], c.resolved[j-1] = c.resolved[j-1], c.resolved[j]
+	r := c.resolved
+	for i := 1; i < len(r); i++ {
+		for j := i; j > 0 && c.uops[r[j]].seq < c.uops[r[j-1]].seq; j-- {
+			r[j], r[j-1] = r[j-1], r[j]
 		}
 	}
-	for _, u := range c.resolved {
-		if !u.squashed {
+	for _, id := range r {
+		if u := &c.uops[id]; !u.squashed {
 			c.resolve(u)
 		}
 	}
-	for i := range c.resolved {
-		c.resolved[i] = nil
-	}
-	c.resolved = c.resolved[:0]
+	c.resolved = r[:0]
 }
 
 // resolve implements the branch misprediction detection/recovery module
@@ -399,9 +377,9 @@ func (c *CPU) resolve(u *uop) {
 
 // flush squashes everything younger than u, repairs front-end state,
 // redirects fetch to redirectPC, and recycles every squashed µop: the
-// scheduler queues are compacted and the surviving window's dependent
-// lists scrubbed first, so nothing in the machine can reach a pooled
-// µop afterwards.
+// scheduler queues are compacted and the squashed consumers popped off
+// the surviving window's wakeup lists first, so nothing in the machine
+// can reach a free slot afterwards.
 func (c *CPU) flush(u *uop, redirectPC int, noExit bool) {
 	c.res.Flushes++
 	squashedBefore := c.res.Squashed
@@ -415,86 +393,69 @@ func (c *CPU) flush(u *uop, redirectPC int, noExit bool) {
 
 	// Squash the window tail younger than u.
 	for c.robCount > 0 {
-		i := (c.robTail - 1 + len(c.rob)) % len(c.rob)
-		v := c.rob[i]
+		i := c.robTail - 1
+		if i < 0 {
+			i = len(c.rob) - 1
+		}
+		id := c.rob[i]
+		v := &c.uops[id]
 		if v.seq <= u.seq {
 			break
 		}
 		v.squashed = true
-		c.rob[i] = nil
 		c.robTail = i
 		c.robCount--
 		c.res.Squashed++
-		c.squashBuf = append(c.squashBuf, v)
+		c.squashBuf = append(c.squashBuf, id)
 	}
 	// Fetch-queue µops were never renamed, so nothing references them:
-	// straight back to the pool.
+	// straight back to the arena.
 	for c.fqCount > 0 {
-		q := c.fqPopFront()
-		q.squashed = true
+		id := c.fqPopFront()
+		c.uops[id].squashed = true
 		c.res.Squashed++
-		c.pool.put(q)
+		c.freeUop(id)
 	}
 
-	// Scrub every remaining reference to the squashed window tail, then
-	// recycle it: scheduler queues first, then the survivors' dependent
-	// lists (dependents are always younger, so squashed entries can hide
-	// anywhere in them).
-	c.readyQ.compact()
-	c.compQ.compact()
+	// Drop every remaining reference to the squashed window tail, then
+	// recycle it: scheduler queues first, then the survivors' wakeup
+	// lists.
+	c.readyQ.compact(c.uops)
+	c.compQ.compact(c.uops)
 	// The fast lane is normally empty here (flushes happen in resolve,
 	// after completions drained it), but compact defensively: order is
 	// preserved, so the seq invariant holds.
 	k := 0
 	for _, e := range c.nextComp {
-		if !e.u.squashed {
+		if !c.uops[e.id].squashed {
 			c.nextComp[k] = e
 			k++
 		}
 	}
-	for i := k; i < len(c.nextComp); i++ {
-		c.nextComp[i] = compEvent{}
-	}
 	c.nextComp = c.nextComp[:k]
 
 	// Rebuild fetch-order rename state from the surviving window, and
-	// scrub dependent lists in the same pass.
-	c.intWriter = [isa.NumIntRegs]*uop{}
-	c.predWriter = [isa.NumPredRegs]*uop{}
+	// pop squashed consumers off wakeup lists in the same pass.
+	c.intWriter = [isa.NumIntRegs]uid{}
+	c.predWriter = [isa.NumPredRegs]uid{}
 	c.storeWriter.reset()
-	c.robFor(func(v *uop) {
-		k := 0
-		for _, d := range v.dependents {
-			if !d.squashed {
-				v.dependents[k] = d
-				k++
-			}
-		}
-		for i := k; i < len(v.dependents); i++ {
-			v.dependents[i] = nil
-		}
-		v.dependents = v.dependents[:k]
-		in := v.inst
-		if c.updatesWriters(v) {
-			if in.WritesInt() {
-				c.intWriter[in.Dst] = v
-			}
-			if in.WritesPred() {
-				if in.PDst != isa.PNone && in.PDst != isa.P0 {
-					c.predWriter[in.PDst] = v
-				}
-				if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 {
-					c.predWriter[in.PDst2] = v
-				}
-			}
+	for n, i := 0, c.robHead; n < c.robCount; n++ {
+		id := c.rob[i]
+		v := &c.uops[id]
+		c.dropSquashedWaiters(v)
+		in := &c.code[v.pc]
+		if c.updatesWriters(v, in) {
+			c.setWriters(in, id)
 		}
 		if in.Op == isa.OpStore && v.guardVal && !v.isSelect {
-			c.storeWriter.put(v.addr>>3, v)
+			c.storeWriter.put(v.addr>>3, id)
 		}
-	})
-	for i, v := range c.squashBuf {
-		c.pool.put(v)
-		c.squashBuf[i] = nil
+		if i++; i == len(c.rob) {
+			i = 0
+		}
+	}
+	for _, id := range c.squashBuf {
+		c.freeUop(id)
 	}
 	c.squashBuf = c.squashBuf[:0]
 
@@ -503,7 +464,7 @@ func (c *CPU) flush(u *uop, redirectPC int, noExit bool) {
 	case u.isCond:
 		c.bp.Repair(u.pred.Hist, u.actualTaken)
 		c.bp.RepairLocal(prog.Addr(u.pc), u.pred.LHist, u.actualTaken)
-	case u.inst.Op == isa.OpJmpInd:
+	case c.code[u.pc].Op == isa.OpJmpInd:
 		// Fetch folded the predicted target's bit into the history;
 		// repair with the actual target's bit.
 		c.bp.Repair(u.hist, targetBit(u.flushPC))
@@ -535,7 +496,7 @@ func (c *CPU) flush(u *uop, redirectPC int, noExit bool) {
 	// fetched since the mispredicted instance was a predicated-false
 	// NOP, so repositioning the PC is architecturally safe (§3.5.4).
 	c.shadow = nil
-	c.pendingFlush = nil
+	c.pendingFlush = false
 	if noExit {
 		c.st.PC = redirectPC
 	} else if c.st.PC != redirectPC {
@@ -551,50 +512,51 @@ func (c *CPU) flush(u *uop, redirectPC int, noExit bool) {
 }
 
 // retire commits up to RetireWidth completed µops in order, returning
-// each to the pool once its writer-table references are cleared.
+// each to the arena once its writer-table references are cleared.
 func (c *CPU) retire() {
 	for n := 0; n < c.cfg.RetireWidth && c.robCount > 0; n++ {
-		u := c.rob[c.robHead]
-		if u == nil || u.squashed {
+		id := c.rob[c.robHead]
+		u := &c.uops[id]
+		if u.squashed {
 			panic("cpu: squashed µop at window head")
 		}
 		if !u.done || u.doneCycle > c.cycle {
 			return
 		}
-		c.rob[c.robHead] = nil
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		if c.robHead++; c.robHead == len(c.rob) {
+			c.robHead = 0
+		}
 		c.robCount--
-		c.retireUop(u)
-		c.pool.put(u)
+		c.retireUop(id, u)
+		c.freeUop(id)
 		if c.res.Halted {
 			return
 		}
 	}
 }
 
-// clearWriters removes u from the rename writer tables at retire. A
-// retired writer is semantically inert (addDep skips done producers),
-// so this changes no schedule — it only makes the µop unreachable and
+// clearWriters removes µop id from the rename writer tables at retire.
+// A retired writer is semantically inert (addDep skips done producers),
+// so this changes no schedule — it only makes the slot unreachable and
 // therefore safe to recycle.
-func (c *CPU) clearWriters(u *uop) {
-	in := u.inst
-	if in.WritesInt() && c.intWriter[in.Dst] == u {
-		c.intWriter[in.Dst] = nil
+func (c *CPU) clearWriters(in *isa.Inst, id uid) {
+	if in.WritesInt() && c.intWriter[in.Dst] == id {
+		c.intWriter[in.Dst] = 0
 	}
 	if in.WritesPred() {
-		if in.PDst != isa.PNone && in.PDst != isa.P0 && c.predWriter[in.PDst] == u {
-			c.predWriter[in.PDst] = nil
+		if in.PDst != isa.PNone && in.PDst != isa.P0 && c.predWriter[in.PDst] == id {
+			c.predWriter[in.PDst] = 0
 		}
-		if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 && c.predWriter[in.PDst2] == u {
-			c.predWriter[in.PDst2] = nil
+		if in.PDst2 != isa.PNone && in.PDst2 != isa.P0 && c.predWriter[in.PDst2] == id {
+			c.predWriter[in.PDst2] = 0
 		}
 	}
 }
 
-func (c *CPU) retireUop(u *uop) {
+func (c *CPU) retireUop(id uid, u *uop) {
 	c.res.RetiredUops++
-	in := u.inst
-	c.clearWriters(u)
+	in := &c.code[u.pc]
+	c.clearWriters(in, id)
 
 	// Accounting: count this retire, classify it as useful work or
 	// predication overhead, and end flush recovery once post-flush
@@ -623,7 +585,7 @@ func (c *CPU) retireUop(u *uop) {
 
 	if in.Op == isa.OpStore && u.guardVal {
 		c.hier.AccessD(u.addr, c.cycle, true)
-		c.storeWriter.del(u.addr>>3, u)
+		c.storeWriter.del(u.addr>>3, id)
 	}
 
 	if u.isCond {
@@ -651,7 +613,7 @@ func (c *CPU) retireUop(u *uop) {
 			if !c.cfg.PerfectConfidence && !c.cfg.PerfectBP {
 				c.jrs.Update(pc64, u.hist, u.dirPred == u.actualTaken)
 			}
-			c.wishStats(u)
+			c.wishStats(u, in.WType)
 		}
 	}
 	if in.Op == isa.OpJmpInd {
@@ -663,9 +625,9 @@ func (c *CPU) retireUop(u *uop) {
 }
 
 // wishStats classifies a retired wish branch for Figures 11 and 13.
-func (c *CPU) wishStats(u *uop) {
+func (c *CPU) wishStats(u *uop, wt isa.WType) {
 	var w *WishClass
-	switch u.inst.WType {
+	switch wt {
 	case isa.WJump:
 		w = &c.res.WishJump
 	case isa.WJoin:
@@ -689,7 +651,7 @@ func (c *CPU) wishStats(u *uop) {
 		return
 	}
 	w.LowMispred++
-	if u.inst.WType == isa.WLoop {
+	if wt == isa.WLoop {
 		switch u.loopCls {
 		case loopEarly:
 			w.LowEarly++

@@ -65,62 +65,59 @@ func TestCallReturnPipeline(t *testing.T) {
 	}
 }
 
+// jumpTableProg is a loop whose indirect jump reads its target from a
+// 2000-entry table at 1<<20 and lands on one of two cases. The table
+// comes from jumpTableMem.
+func jumpTableProg() *prog.Program {
+	b := prog.NewBuilder()
+	b.Emit(isa.MovI(1, 0), isa.MovI(2, 0), isa.MovI(20, 1<<20))
+	b.Label("LOOP")
+	b.Emit(
+		isa.Load(3, 20, 0), // target byte address from the table
+		isa.ALUI(isa.OpAdd, 20, 20, 8),
+	)
+	b.Emit(isa.Inst{Op: isa.OpJmpInd, Src1: 3, PDst: isa.PNone, PDst2: isa.PNone})
+	b.Label("CASE0")
+	b.Emit(isa.ALUI(isa.OpAdd, 2, 2, 1))
+	b.JmpL("NEXT")
+	b.Label("CASE1")
+	b.Emit(isa.ALUI(isa.OpAdd, 2, 2, 100))
+	b.Label("NEXT")
+	b.Emit(
+		isa.ALUI(isa.OpAdd, 1, 1, 1),
+		isa.CmpI(isa.CmpLT, 1, isa.PNone, 1, 2000),
+	)
+	b.BrL(1, "LOOP")
+	b.Emit(isa.Halt())
+	return b.MustFinish()
+}
+
+// jumpTableMem fills p's jump table with alternating cases, which the
+// history-indexed target cache learns, or with a pseudo-random
+// sequence, which it cannot.
+func jumpTableMem(p *prog.Program, random bool) func(*emu.Memory) {
+	return func(m *emu.Memory) {
+		s := uint64(99)
+		for i := 0; i < 2000; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			tgt := prog.Addr(p.Labels["CASE0"])
+			if (!random && i%2 == 1) || (random && s>>63 == 1) {
+				tgt = prog.Addr(p.Labels["CASE1"])
+			}
+			m.Store(uint64(1<<20+i*8), int64(tgt))
+		}
+	}
+}
+
 // TestIndirectJumpPipeline: a jump table driven by a repeating pattern
 // must train the indirect target cache; a random pattern must still be
 // architecturally correct while flushing.
 func TestIndirectJumpPipeline(t *testing.T) {
-	build := func() *prog.Program {
-		b := prog.NewBuilder()
-		b.Emit(isa.MovI(1, 0), isa.MovI(2, 0), isa.MovI(20, 1<<20))
-		b.Label("LOOP")
-		b.Emit(
-			isa.Load(3, 20, 0), // target byte address from the table
-			isa.ALUI(isa.OpAdd, 20, 20, 8),
-		)
-		b.Emit(isa.Inst{Op: isa.OpJmpInd, Src1: 3, PDst: isa.PNone, PDst2: isa.PNone})
-		b.Label("CASE0")
-		b.Emit(isa.ALUI(isa.OpAdd, 2, 2, 1))
-		b.JmpL("NEXT")
-		b.Label("CASE1")
-		b.Emit(isa.ALUI(isa.OpAdd, 2, 2, 100))
-		b.Label("NEXT")
-		b.Emit(
-			isa.ALUI(isa.OpAdd, 1, 1, 1),
-			isa.CmpI(isa.CmpLT, 1, isa.PNone, 1, 2000),
-		)
-		b.BrL(1, "LOOP")
-		b.Emit(isa.Halt())
-		return b.MustFinish()
-	}
-	p := build()
-	case0 := prog.Addr(p.Labels["CASE0"])
-	case1 := prog.Addr(p.Labels["CASE1"])
-
+	p := jumpTableProg()
 	// Alternating pattern: the history-indexed target cache learns it.
-	altMem := func(m *emu.Memory) {
-		for i := 0; i < 2000; i++ {
-			tgt := case0
-			if i%2 == 1 {
-				tgt = case1
-			}
-			m.Store(uint64(1<<20+i*8), int64(tgt))
-		}
-	}
-	resAlt := runProg(t, build(), config.DefaultMachine(), altMem)
-
+	resAlt := runProg(t, p, config.DefaultMachine(), jumpTableMem(p, false))
 	// Random pattern: correctness must hold even with heavy flushing.
-	rndMem := func(m *emu.Memory) {
-		s := uint64(99)
-		for i := 0; i < 2000; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			tgt := case0
-			if s>>63 == 1 {
-				tgt = case1
-			}
-			m.Store(uint64(1<<20+i*8), int64(tgt))
-		}
-	}
-	resRnd := runProg(t, build(), config.DefaultMachine(), rndMem)
+	resRnd := runProg(t, p, config.DefaultMachine(), jumpTableMem(p, true))
 
 	if resAlt.Flushes >= resRnd.Flushes {
 		t.Errorf("alternating targets flushed %d >= random %d: indirect cache not learning",

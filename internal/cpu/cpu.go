@@ -16,14 +16,14 @@
 // predication makes both directions architecturally equivalent.
 //
 // The host-side hot path is engineered to be allocation-free in steady
-// state and to skip dead cycles in bulk (DESIGN.md §10): µops come
-// from a per-CPU pool recycled at retire and flush, the scheduler runs
-// on concrete heaps and flat tables instead of interfaces and maps,
-// and Run jumps the cycle counter straight to the next event when no
-// pipeline stage can make progress. All of this is observationally
-// invisible — results are bit-identical to the one-cycle-at-a-time
-// reference mode (SetCycleSkipping), which the equivalence suites
-// enforce.
+// state and to skip dead cycles in bulk (DESIGN.md §10): µops live in
+// one preallocated, pointer-free arena recycled at retire and flush,
+// the scheduler runs on concrete heaps and flat tables instead of
+// interfaces and maps, and Run jumps the cycle counter straight to the
+// next event when no pipeline stage can make progress. All of this is
+// observationally invisible — results are bit-identical to the
+// one-cycle-at-a-time reference mode (SetCycleSkipping), which the
+// equivalence suites enforce.
 package cpu
 
 import (
@@ -46,6 +46,7 @@ type CPU struct {
 	cfg  *config.Machine
 	prog *prog.Program
 
+	code      []isa.Inst  // prog.Code: a µop's instruction is code[u.pc]
 	st        *emu.State  // fetch-order architectural state (correct path)
 	shadow    *emu.Shadow // active while fetching a wrong path
 	shadowBuf *emu.Shadow // reusable shadow storage (one wrong path at a time)
@@ -54,7 +55,7 @@ type CPU struct {
 	bp   *bpred.Hybrid
 	btb  *bpred.BTB
 	ras  *bpred.RAS
-	itc  *bpred.IndirectCache
+	itc  *bpred.IndirectCache // nil until the first correct-path indirect jump
 	jrs  *conf.JRS
 	lp   *bpred.LoopPredictor
 
@@ -65,7 +66,7 @@ type CPU struct {
 	nextFetch    uint64 // earliest cycle fetch may proceed
 	fetchHalted  bool   // HALT fetched on the correct path
 	curLine      uint64 // I-cache line currently streaming (+1; 0 = none)
-	pendingFlush *uop   // fetch-detected mispredicted branch awaiting resolve
+	pendingFlush bool   // a fetch-detected misprediction awaits resolve
 
 	// Wish-branch front-end state (Figure 8 state machine).
 	mode          Mode
@@ -90,19 +91,24 @@ type CPU struct {
 	lastLoopPred []bool
 	loopGen      []uint64
 
-	// Queues and window. The fetch queue is a fixed ring (capacity is
-	// the front-end depth in µops); the window is a ring as before.
-	fq       []*uop
+	// The µop arena: every µop in the fetch queue or the window lives
+	// in uops (slot 0 unused, see uid), and free is its LIFO free list.
+	uops []uop
+	free []uid
+
+	// Queues and window, both fixed rings. The fetch queue's capacity
+	// is the front-end depth in µops.
+	fq       []uid
 	fqHead   int
 	fqCount  int
-	rob      []*uop // ring buffer
+	rob      []uid
 	robHead  int
 	robTail  int
 	robCount int
 
 	// Fetch-order rename state.
-	intWriter   [isa.NumIntRegs]*uop
-	predWriter  [isa.NumPredRegs]*uop
+	intWriter   [isa.NumIntRegs]uid
+	predWriter  [isa.NumPredRegs]uid
 	storeWriter *storeTab
 
 	readyQ seqHeap
@@ -116,10 +122,9 @@ type CPU struct {
 	// (multiplies, divides, cache misses).
 	nextComp []compEvent
 
-	pool      uopPool
-	resolved  []*uop // scratch for completions' resolve batch
-	squashBuf []*uop // scratch for flush's squashed-window batch
-	skipOff   bool   // disable event-driven cycle skipping (reference mode)
+	resolved  []uid // scratch for completions' resolve batch
+	squashBuf []uid // scratch for flush's squashed-window batch
+	skipOff   bool  // disable event-driven cycle skipping (reference mode)
 
 	res Result
 
@@ -155,25 +160,33 @@ func New(cfg *config.Machine, p *prog.Program, init func(*emu.Memory)) (*CPU, er
 	if init != nil {
 		init(st.Mem)
 	}
+	fqCap := cfg.FrontEndDepth*cfg.FetchWidth + cfg.FetchWidth
+	slots := fqCap + cfg.ROBSize // the most µops that can be live at once
 	c := &CPU{
 		cfg:           cfg,
 		prog:          p,
+		code:          p.Code,
 		st:            st,
 		hier:          cache.NewHierarchy(cfg.Caches),
 		bp:            bpred.NewHybrid(cfg.Hybrid),
 		btb:           bpred.NewBTB(cfg.BTBEntries, cfg.BTBWays),
 		ras:           bpred.NewRAS(cfg.RASDepth),
-		itc:           bpred.NewIndirectCache(cfg.IndirectEntries),
 		jrs:           conf.NewJRS(cfg.JRS),
 		mode:          ModeNormal,
 		lowConfTarget: -1,
 		lowConfLoopPC: -1,
 		lastLoopPred:  make([]bool, len(p.Code)),
 		loopGen:       make([]uint64, len(p.Code)),
-		fq:            make([]*uop, cfg.FrontEndDepth*cfg.FetchWidth+cfg.FetchWidth),
-		rob:           make([]*uop, cfg.ROBSize),
+		uops:          make([]uop, slots+1),
+		free:          make([]uid, slots),
+		fq:            make([]uid, fqCap),
+		rob:           make([]uid, cfg.ROBSize),
 		storeWriter:   newStoreTab(cfg.ROBSize),
 		brTab:         obs.NewBranchTable(len(p.Code)),
+	}
+	// Hand out low slots first: free is popped from the end.
+	for i := range c.free {
+		c.free[i] = uid(slots - i)
 	}
 	if cfg.UseLoopPredictor {
 		c.lp = bpred.NewLoopPredictor(cfg.LoopPredEntries)
@@ -306,14 +319,18 @@ func (c *CPU) stepOrSkip(limit uint64) {
 // skippable returns how many cycles can be skipped from the current
 // one, or 0 if any pipeline stage has work this cycle. A cycle is dead
 // when no completion event is due, the window head cannot retire,
-// nothing is ready to issue, the fetch queue is empty, and fetch is
-// stalled (I-cache miss, BTB bubble, HALT, or a stuck wrong path).
+// nothing is ready to issue, dispatch is blocked, and fetch is blocked.
+// Dispatch is blocked when the fetch queue is empty, when its front
+// µop has not yet reached its dispatch cycle, or when the window has
+// no room for it (only a completion, through retire, can make room).
+// Fetch is blocked when it is stalled (I-cache miss, BTB bubble),
+// halted, stuck on a wrong path, or the fetch queue is full.
 // During a dead stretch the machine state is frozen except for the
 // cycle counter, so the per-cycle accounting attribution is constant —
 // bulkAccount exploits exactly that. The jump target is the earliest
-// future event: the next completion, the fetch-resume cycle (also an
-// attribution boundary: structural → fetch-stall), or the caller's
-// cycle limit.
+// future event: the next completion, the front µop's dispatch cycle,
+// the fetch-resume cycle (also an attribution boundary: structural →
+// fetch-stall), or the caller's cycle limit.
 func (c *CPU) skippable(limit uint64) uint64 {
 	if len(c.compQ) > 0 && c.compQ[0].cycle <= c.cycle {
 		return 0
@@ -321,16 +338,24 @@ func (c *CPU) skippable(limit uint64) uint64 {
 	if len(c.nextComp) > 0 && c.nextComp[0].cycle <= c.cycle {
 		return 0
 	}
-	if c.robCount > 0 && c.rob[c.robHead].done {
+	if c.robCount > 0 && c.uops[c.rob[c.robHead]].done {
 		return 0
 	}
-	if len(c.readyQ) > 0 || c.fqCount > 0 {
-		return 0
-	}
-	if !c.fetchHalted && c.cycle >= c.nextFetch && !c.shadowStuck() {
+	if len(c.readyQ) > 0 {
 		return 0
 	}
 	target := limit
+	if c.fqCount > 0 {
+		u := &c.uops[c.fq[c.fqHead]]
+		if u.dispReady > c.cycle {
+			target = min(target, u.dispReady)
+		} else if !c.windowFull(u) {
+			return 0
+		}
+	}
+	if !c.fetchHalted && c.cycle >= c.nextFetch && c.fqCount < len(c.fq) && !c.shadowStuck() {
+		return 0
+	}
 	if len(c.compQ) > 0 && c.compQ[0].cycle < target {
 		target = c.compQ[0].cycle
 	}
@@ -344,6 +369,16 @@ func (c *CPU) skippable(limit uint64) uint64 {
 		return 0
 	}
 	return target - c.cycle
+}
+
+// windowFull reports that the window has no room for u, the front µop
+// of the fetch queue, and its select µop if it injects one.
+func (c *CPU) windowFull(u *uop) bool {
+	need := 1
+	if c.needsSelect(u) {
+		need = 2
+	}
+	return c.robCount+need > len(c.rob)
 }
 
 // shadowStuck reports that wrong-path fetch cannot produce µops: the
@@ -362,8 +397,10 @@ func (c *CPU) shadowStuck() bool {
 
 // bulkAccount attributes n skipped cycles at once, choosing the same
 // bucket account() would have chosen for each of them: nothing retired
-// (acctRetired = 0), dispatch never blocked (acctFull = false), and
-// every input to the decision tree is frozen for the whole stretch.
+// (acctRetired = 0), the head is not done, dispatch was blocked on
+// window space exactly when the front µop had reached its dispatch
+// cycle (acctFull), and every input to the decision tree is frozen for
+// the whole stretch.
 // Both partition identities are preserved exactly — the flush-recovery
 // charge goes to the same branch record, in the same amount, as n
 // single-cycle account() calls would post.
@@ -380,10 +417,13 @@ func (c *CPU) bulkAccount(n uint64) {
 			b = obs.FetchStall
 		}
 	default:
-		head := c.rob[c.robHead]
-		if head.isSelect || (head.inst.Guard != isa.P0 && !head.inst.IsBranch()) {
+		head := &c.uops[c.rob[c.robHead]]
+		switch {
+		case c.predSerial(head):
 			b = obs.PredSerial
-		} else {
+		case c.fqCount > 0 && c.uops[c.fq[c.fqHead]].dispReady <= c.cycle:
+			b = obs.WindowFull
+		default:
 			b = obs.ExecLatency
 		}
 	}
@@ -419,9 +459,9 @@ func (c *CPU) account() {
 			b = obs.FetchStall // front-end pipeline fill
 		}
 	default:
-		head := c.rob[c.robHead]
+		head := &c.uops[c.rob[c.robHead]]
 		switch {
-		case !head.done && (head.isSelect || (head.inst.Guard != isa.P0 && !head.inst.IsBranch())):
+		case !head.done && c.predSerial(head):
 			b = obs.PredSerial
 		case c.acctFull:
 			b = obs.WindowFull
@@ -431,6 +471,17 @@ func (c *CPU) account() {
 	}
 	c.res.Acct.Buckets[b]++
 	c.acctRetired, c.acctUseful, c.acctFull = 0, 0, false
+}
+
+// predSerial reports that a window head waiting to complete is a
+// predicated µop or an injected select µop: predication, not execution
+// latency, is what holds the window.
+func (c *CPU) predSerial(head *uop) bool {
+	if head.isSelect {
+		return true
+	}
+	in := &c.code[head.pc]
+	return in.Guard != isa.P0 && !in.IsBranch()
 }
 
 // AttachTrace connects a bounded event ring; every fetch, rename,
@@ -466,12 +517,9 @@ func (c *CPU) Mode() Mode { return c.mode }
 // architecture.
 func (c *CPU) ArchState() *emu.State { return c.st }
 
-// newUop allocates a reset µop from the pool.
-func (c *CPU) newUop() *uop { return c.pool.get() }
-
 // fqPush appends to the fetch queue; callers check capacity first
 // (fetch's own queue-full test), so overflow is a programming error.
-func (c *CPU) fqPush(u *uop) {
+func (c *CPU) fqPush(id uid) {
 	if c.fqCount == len(c.fq) {
 		panic("cpu: fetch queue overflow")
 	}
@@ -479,37 +527,27 @@ func (c *CPU) fqPush(u *uop) {
 	if i >= len(c.fq) {
 		i -= len(c.fq)
 	}
-	c.fq[i] = u
+	c.fq[i] = id
 	c.fqCount++
 }
 
-// fqFront returns the oldest queued µop; caller checks fqCount.
-func (c *CPU) fqFront() *uop { return c.fq[c.fqHead] }
-
 // fqPopFront removes and returns the oldest queued µop.
-func (c *CPU) fqPopFront() *uop {
-	u := c.fq[c.fqHead]
-	c.fq[c.fqHead] = nil
+func (c *CPU) fqPopFront() uid {
+	id := c.fq[c.fqHead]
 	c.fqHead++
 	if c.fqHead == len(c.fq) {
 		c.fqHead = 0
 	}
 	c.fqCount--
-	return u
+	return id
 }
 
 // robPush appends to the window; caller must ensure space.
-func (c *CPU) robPush(u *uop) {
-	c.rob[c.robTail] = u
-	c.robTail = (c.robTail + 1) % len(c.rob)
-	c.robCount++
-}
-
-// robFor iterates the window oldest to youngest.
-func (c *CPU) robFor(f func(*uop)) {
-	i := c.robHead
-	for n := 0; n < c.robCount; n++ {
-		f(c.rob[i])
-		i = (i + 1) % len(c.rob)
+func (c *CPU) robPush(id uid) {
+	c.rob[c.robTail] = id
+	c.robTail++
+	if c.robTail == len(c.rob) {
+		c.robTail = 0
 	}
+	c.robCount++
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 
+	"wishbranch/internal/bpred"
 	"wishbranch/internal/emu"
 	"wishbranch/internal/isa"
 	"wishbranch/internal/obs"
@@ -60,9 +61,9 @@ func (c *CPU) fetch() {
 			}
 		}
 
-		inst := &c.prog.Code[pc]
-		u := c.newUop()
-		u.seq, u.pc, u.inst = c.seq, pc, inst
+		inst := &c.code[pc]
+		id, u := c.newUop()
+		u.seq, u.pc = c.seq, pc
 		u.wrongPath = c.shadow != nil
 		c.seq++
 
@@ -71,7 +72,7 @@ func (c *CPU) fetch() {
 			if inst.IsCondBranch() {
 				condBudget--
 			}
-			endGroup = c.fetchBranch(u)
+			endGroup = c.fetchBranch(u, inst)
 		} else {
 			var stp emu.Step
 			if c.shadow != nil {
@@ -100,7 +101,7 @@ func (c *CPU) fetch() {
 			// NO-FETCH oracle: predicated-false µops are ideally removed
 			// and consume no fetch, window, or execution resources.
 			if c.shadow == nil && c.cfg.NoFalseFetch && !stp.GuardTrue && inst.Op != isa.OpHalt {
-				c.pool.put(u) // never entered any queue; no references exist
+				c.freeUop(id) // never entered any queue; no references exist
 				continue
 			}
 		}
@@ -114,7 +115,7 @@ func (c *CPU) fetch() {
 			c.ring.Record(obs.Event{Cycle: c.cycle, Seq: u.seq, PC: u.pc, Kind: obs.EvFetch, Arg: arg})
 		}
 		u.dispReady = c.cycle + uint64(c.cfg.FrontEndDepth)
-		c.fqPush(u)
+		c.fqPush(id)
 		budget--
 		if endGroup {
 			return
@@ -126,9 +127,8 @@ func (c *CPU) fetch() {
 // emulator (or shadow), consults the predictors, runs the wish-branch
 // mode machine, and starts wrong-path fetch on a detected
 // misprediction. It reports whether the fetch group ends.
-func (c *CPU) fetchBranch(u *uop) bool {
+func (c *CPU) fetchBranch(u *uop, inst *isa.Inst) bool {
 	var scratch emu.Step // discarded architectural effects
-	inst := u.inst
 	pc64 := prog.Addr(u.pc)
 	wrong := c.shadow != nil
 	btbHit := c.btb.Lookup(pc64)
@@ -167,6 +167,12 @@ func (c *CPU) fetchBranch(u *uop) bool {
 			c.shadow.StepInto(&scratch)
 		} else {
 			u.hist = c.bp.Hist()
+			if c.itc == nil {
+				// Built on first use: most programs have no indirect jump,
+				// and the cache is the largest table a CPU would otherwise
+				// fill at construction.
+				c.itc = bpred.NewIndirectCache(c.cfg.IndirectEntries)
+			}
 			predTarget, ok := c.itc.Lookup(pc64, u.hist)
 			var stp emu.Step
 			c.st.StepInto(&stp)
@@ -198,7 +204,7 @@ func (c *CPU) fetchBranch(u *uop) bool {
 		} else if wrong {
 			c.fetchCondWrong(u)
 		} else {
-			c.fetchCondCorrect(u)
+			c.fetchCondCorrect(u, inst)
 			if u.takenFetch && !btbHit {
 				bubble = true
 			}
@@ -221,8 +227,7 @@ func (c *CPU) fetchBranch(u *uop) bool {
 
 // fetchCondCorrect handles a conditional branch fetched on the correct
 // path: normal branches and all three wish-branch types.
-func (c *CPU) fetchCondCorrect(u *uop) {
-	inst := u.inst
+func (c *CPU) fetchCondCorrect(u *uop, inst *isa.Inst) {
 	pc64 := prog.Addr(u.pc)
 	u.isCond = true
 	u.hist = c.bp.Hist()
@@ -248,7 +253,7 @@ func (c *CPU) fetchCondCorrect(u *uop) {
 	u.dirPred = predDir
 
 	if inst.IsWish() && !c.cfg.PerfectBP {
-		c.fetchWish(u, predDir, actual)
+		c.fetchWish(u, inst, predDir, actual)
 		return
 	}
 
@@ -269,9 +274,8 @@ func (c *CPU) fetchCondCorrect(u *uop) {
 
 // fetchWish applies the wish-branch semantics of §3.1–§3.2 and the
 // Figure 8 mode machine to a correct-path wish branch.
-func (c *CPU) fetchWish(u *uop, predDir, actual bool) {
+func (c *CPU) fetchWish(u *uop, inst *isa.Inst, predDir, actual bool) {
 	var scratch emu.Step // discarded architectural effects
-	inst := u.inst
 	pc64 := prog.Addr(u.pc)
 	wt := inst.WType
 
@@ -409,12 +413,12 @@ func targetBit(target int) bool {
 // shadow state while the committed emulator (already stepped down the
 // correct path) waits at actualPC for the flush.
 func (c *CPU) startWrongPath(u *uop, wrongPC, actualPC int) {
-	if c.pendingFlush != nil {
+	if c.pendingFlush {
 		panic("cpu: nested correct-path misprediction")
 	}
 	u.mispredict = true
 	u.flushPC = actualPC
-	c.pendingFlush = u
+	c.pendingFlush = true
 	if c.shadowBuf == nil {
 		c.shadowBuf = new(emu.Shadow)
 	}

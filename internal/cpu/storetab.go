@@ -13,7 +13,7 @@ package cpu
 // iterated; lookup order cannot leak into simulation results.
 type storeTab struct {
 	keys []uint64
-	vals []*uop
+	vals []uid // 0 = empty slot
 	mask uint64
 	n    int
 }
@@ -25,7 +25,7 @@ func newStoreTab(window int) *storeTab {
 	}
 	return &storeTab{
 		keys: make([]uint64, size),
-		vals: make([]*uop, size),
+		vals: make([]uid, size),
 		mask: uint64(size - 1),
 	}
 }
@@ -36,12 +36,12 @@ func (t *storeTab) slot(key uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> 32 & t.mask
 }
 
-// get returns the writer recorded for key, or nil.
-func (t *storeTab) get(key uint64) *uop {
+// get returns the writer recorded for key, or 0.
+func (t *storeTab) get(key uint64) uid {
 	i := t.slot(key)
 	for {
-		if t.vals[i] == nil {
-			return nil
+		if t.vals[i] == 0 {
+			return 0
 		}
 		if t.keys[i] == key {
 			return t.vals[i]
@@ -51,10 +51,10 @@ func (t *storeTab) get(key uint64) *uop {
 }
 
 // put records u as the writer for key, replacing any previous entry.
-func (t *storeTab) put(key uint64, u *uop) {
+func (t *storeTab) put(key uint64, u uid) {
 	i := t.slot(key)
 	for {
-		if t.vals[i] == nil {
+		if t.vals[i] == 0 {
 			t.keys[i], t.vals[i] = key, u
 			t.n++
 			if 2*t.n > len(t.vals) {
@@ -72,10 +72,10 @@ func (t *storeTab) put(key uint64, u *uop) {
 
 // del removes key's entry if it still records u (a younger store to
 // the same word may have replaced it).
-func (t *storeTab) del(key uint64, u *uop) {
+func (t *storeTab) del(key uint64, u uid) {
 	i := t.slot(key)
 	for {
-		if t.vals[i] == nil {
+		if t.vals[i] == 0 {
 			return
 		}
 		if t.keys[i] == key {
@@ -86,27 +86,27 @@ func (t *storeTab) del(key uint64, u *uop) {
 	if t.vals[i] != u {
 		return
 	}
-	t.vals[i] = nil
+	t.vals[i] = 0
 	t.n--
 	// Backward-shift the rest of the cluster: an entry at j moves into
 	// the hole at i unless its ideal slot lies cyclically within (i, j].
 	j := i
 	for {
 		j = (j + 1) & t.mask
-		if t.vals[j] == nil {
+		if t.vals[j] == 0 {
 			return
 		}
 		k := t.slot(t.keys[j])
 		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
 			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-			t.vals[j] = nil
+			t.vals[j] = 0
 			i = j
 		}
 	}
 }
 
 // reset bulk-clears the table (flush recovery). Keys need no clearing:
-// an empty slot is identified by its nil value alone.
+// an empty slot is identified by its zero value alone.
 func (t *storeTab) reset() {
 	if t.n == 0 {
 		return

@@ -52,55 +52,73 @@ const (
 // calls.
 const maxDeps = 5
 
-// uop is one in-flight dynamic µop. µops are pooled: fetch allocates
-// from the per-CPU free list and retire/flush recycle, so a steady-
-// state simulation allocates no µops at all. All fields are reset at
-// allocation (not at free), because scrubbed references may still be
-// examined — never followed — after a µop returns to the pool within
-// the same cycle.
+// uid names a µop by its slot in the CPU's arena (CPU.uops). Slot 0 is
+// never handed out, so the zero uid means "no µop": zeroed writer
+// tables, store-table values and list links are all empty.
+type uid int32
+
+// wref names one dependence edge, the k-th producer slot of consumer
+// u, as u<<3 | k; 0 ends a wakeup list. A producer's wakeup list
+// threads through its consumers' depNext links, youngest consumer
+// first, so an edge costs no storage outside the two µops it joins.
+type wref int32
+
+func edge(u uid, k int32) wref { return wref(u)<<3 | wref(k) }
+
+// uop is one in-flight dynamic µop. µops live in a per-CPU arena and
+// refer to each other by uid, so a uop holds no pointers: the arena is
+// invisible to the garbage collector and the cycle loop does no
+// write-barrier work. Fetch and rename allocate from the arena's free
+// list and retire/flush return slots to it. All fields are reset at
+// allocation (not at free), because a freed slot's squashed flag may
+// still be examined later in the same cycle.
 type uop struct {
-	seq  uint64
-	pc   int
-	inst *isa.Inst // static instruction (points into the program)
+	seq       uint64
+	doneCycle uint64
+	dispReady uint64
 
-	wrongPath bool
-	squashed  bool
+	// Scheduling. deps holds the producers recorded at rename; depNext
+	// links this µop into each producer's wakeup list (wakeHead heads
+	// this µop's own list of waiting consumers).
+	pendingDeps int32
+	wakeHead    wref
+	deps        [maxDeps]uid
+	depNext     [maxDeps]wref
 
-	// Architectural facts captured at fetch from the emulator (shadow
-	// values on the wrong path).
+	// Flags, grouped so the scheduler's checks share a cache line with
+	// the fields above.
+	done        bool
+	squashed    bool
+	wrongPath   bool
+	isSelect    bool // injected select µop (select-µop predication)
+	fwdStore    bool // load forwarded from an in-flight store
 	guardVal    bool
-	addr        uint64
 	actualTaken bool // branches: architecturally correct direction
-	flushPC     int  // branches: µop index fetch resumes at after a flush
-
-	// Prediction state (branches).
-	isCond     bool
-	predValid  bool // hybrid Lookup was performed (commit needed)
-	pred       bpred.Pred
-	hist       uint64 // global history at fetch (before this branch)
-	takenFetch bool   // direction the front end followed
-	dirPred    bool   // final predictor direction (incl. loop-predictor override)
-	mispredict bool   // fetch-detected real misprediction: flush at resolve
-	deferred   bool   // low-conf wish loop extra iteration: classify at resolve
-	highConf   bool   // confidence estimate (wish branches)
-	loopCls    loopClass
-	loopGen    uint64 // wish loops: front-end loop generation at fetch
-	rasTop     int
-	rasVal     int
-
+	isCond      bool
+	predValid   bool // hybrid Lookup was performed (commit needed)
+	takenFetch  bool // direction the front end followed
+	dirPred     bool // final predictor direction (incl. loop-predictor override)
+	mispredict  bool // fetch-detected real misprediction: flush at resolve
+	deferred    bool // low-conf wish loop extra iteration: classify at resolve
+	highConf    bool // confidence estimate (wish branches)
 	// Predicate dependency elimination (recorded at fetch; §3.5.3).
 	predElim    bool
 	predElimVal bool
+	loopCls     loopClass
 
-	// Scheduling.
-	deps        [maxDeps]*uop
-	pendingDeps int
-	dependents  []*uop
-	done        bool
-	doneCycle   uint64
-	isSelect    bool // injected select µop (select-µop predication)
-	fwdStore    bool // load forwarded from an in-flight store
-	dispReady   uint64
+	pc      int // static instruction (index into the program)
+	flushPC int // branches: µop index fetch resumes at after a flush
+
+	// Architectural facts captured at fetch from the emulator (shadow
+	// values on the wrong path).
+	addr uint64
+
+	// Prediction state (branches).
+	pred    bpred.Pred
+	hist    uint64 // global history at fetch (before this branch)
+	loopGen uint64 // wish loops: front-end loop generation at fetch
+	rasTop  int
+	rasVal  int
 }
 
 // depOverflowPanic makes addDep panic instead of saturating when a µop
@@ -111,66 +129,107 @@ type uop struct {
 // never deadlock it.
 var depOverflowPanic = false
 
-func (u *uop) addDep(d *uop) {
-	if d == nil || d.done || d == u {
+// addDep makes µop id (at u) wait for producer d: it records d and
+// links the edge at the head of d's wakeup list. Rename runs in fetch
+// order, so every list stays ordered youngest consumer first — which
+// is what lets flush drop squashed consumers by popping a prefix.
+func (c *CPU) addDep(id uid, u *uop, d uid) {
+	if d == 0 || d == id {
 		return
 	}
-	for i := 0; i < u.pendingDeps; i++ {
+	p := &c.uops[d]
+	if p.done {
+		return
+	}
+	k := u.pendingDeps
+	for i := int32(0); i < k; i++ {
 		if u.deps[i] == d {
 			return
 		}
 	}
-	if u.pendingDeps == maxDeps {
+	if k == maxDeps {
 		if depOverflowPanic {
 			panic("cpu: µop exceeds maxDeps distinct producers")
 		}
 		return
 	}
-	u.deps[u.pendingDeps] = d
-	u.pendingDeps++
-	d.dependents = append(d.dependents, u)
+	u.deps[k] = d
+	u.depNext[k] = p.wakeHead
+	p.wakeHead = edge(id, k)
+	u.pendingDeps = k + 1
 }
 
-// uopPool recycles µops. Fields are reset at allocation so that a
-// freed µop's squashed flag stays readable until the pool hands it out
-// again; the dependents backing array is retained across reuse, which
-// is what makes dependence bookkeeping allocation-free once every
-// pooled µop has grown a large enough chunk.
-type uopPool struct {
-	free []*uop
-}
-
-func (p *uopPool) get() *uop {
-	n := len(p.free)
-	if n == 0 {
-		return &uop{}
+// wake walks u's wakeup list at completion, counting down each waiting
+// consumer and queueing those left with no pending producer. The order
+// does not matter: the ready queue pops by unique sequence number.
+func (c *CPU) wake(u *uop) {
+	for e := u.wakeHead; e != 0; {
+		id := uid(e >> 3)
+		d := &c.uops[id]
+		e = d.depNext[e&7]
+		if d.squashed || d.done {
+			continue // defensive: flush pops squashed consumers
+		}
+		d.pendingDeps--
+		if d.pendingDeps == 0 {
+			c.readyQ.push(d.seq, id)
+		}
 	}
-	u := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	deps := u.dependents[:0]
+	u.wakeHead = 0
+}
+
+// dropSquashedWaiters pops the squashed consumers off u's wakeup list.
+// They are the youngest µops in the machine and the list is youngest
+// first, so they form a prefix.
+func (c *CPU) dropSquashedWaiters(u *uop) {
+	e := u.wakeHead
+	for e != 0 {
+		d := &c.uops[e>>3]
+		if !d.squashed {
+			break
+		}
+		e = d.depNext[e&7]
+	}
+	u.wakeHead = e
+}
+
+// newUop takes a slot from the arena and resets it. The arena holds as
+// many slots as the fetch queue and the window together, and fetch and
+// rename allocate only once they know the µop fits, so running out is
+// a programming error, like a fetch-queue overflow.
+func (c *CPU) newUop() (uid, *uop) {
+	n := len(c.free) - 1
+	if n < 0 {
+		panic("cpu: µop arena exhausted")
+	}
+	id := c.free[n]
+	c.free = c.free[:n]
+	u := &c.uops[id]
 	*u = uop{}
-	u.dependents = deps
-	return u
+	return id, u
 }
 
-// put returns u to the pool. The caller must have removed every live
-// reference to u (queues, writer tables, survivors' dependents); u's
-// own fields are deliberately left intact until reallocation.
-func (p *uopPool) put(u *uop) {
-	p.free = append(p.free, u)
+// freeUop returns slot id to the arena. The caller must have removed
+// every live reference to it (queues, writer tables, wakeup lists);
+// the slot's fields stay intact until it is handed out again.
+func (c *CPU) freeUop(id uid) { c.free = append(c.free, id) }
+
+// readyEnt is a ready-queue entry: the issue key travels with the slot
+// so sifting never touches the arena.
+type readyEnt struct {
+	seq uint64
+	id  uid
 }
 
-// seqHeap is a min-heap of µops ordered by age (sequence number); the
-// scheduler issues oldest-first. It is a concrete (monomorphic)
-// re-implementation of container/heap's sift algorithm: no interface
-// boxing on push/pop, and — because sequence numbers in the queue are
-// unique at any instant — the pop order is identical to the
-// container/heap version it replaced.
-type seqHeap []*uop
+// seqHeap is a min-heap of ready µops ordered by age (sequence
+// number); the scheduler issues oldest-first. It is a concrete
+// (monomorphic) re-implementation of container/heap's sift algorithm,
+// and — because sequence numbers in the queue are unique at any
+// instant — the pop order does not depend on push order.
+type seqHeap []readyEnt
 
-func (h *seqHeap) push(u *uop) {
-	*h = append(*h, u)
+func (h *seqHeap) push(seq uint64, id uid) {
+	*h = append(*h, readyEnt{seq, id})
 	s := *h
 	j := len(s) - 1
 	for j > 0 {
@@ -183,18 +242,17 @@ func (h *seqHeap) push(u *uop) {
 	}
 }
 
-func (h *seqHeap) pop() *uop {
+func (h *seqHeap) pop() uid {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
 	siftDownSeq(s, 0, n)
-	u := s[n]
-	s[n] = nil
+	id := s[n].id
 	*h = s[:n]
-	return u
+	return id
 }
 
-func siftDownSeq(s []*uop, i, n int) {
+func siftDownSeq(s []readyEnt, i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n {
@@ -214,18 +272,15 @@ func siftDownSeq(s []*uop, i, n int) {
 
 // compact removes squashed entries in place and restores the heap
 // property (container/heap Init order). Called at flush so recycled
-// µops never linger in the scheduler.
-func (h *seqHeap) compact() {
+// slots never linger in the scheduler.
+func (h *seqHeap) compact(uops []uop) {
 	s := *h
 	k := 0
-	for _, u := range s {
-		if !u.squashed {
-			s[k] = u
+	for _, e := range s {
+		if !uops[e.id].squashed {
+			s[k] = e
 			k++
 		}
-	}
-	for i := k; i < len(s); i++ {
-		s[i] = nil
 	}
 	s = s[:k]
 	for i := k/2 - 1; i >= 0; i-- {
@@ -234,10 +289,12 @@ func (h *seqHeap) compact() {
 	*h = s
 }
 
-// compEvent schedules a µop completion at an absolute cycle.
+// compEvent schedules a µop completion at an absolute cycle; seq is the
+// µop's, carried for ordering.
 type compEvent struct {
 	cycle uint64
-	u     *uop
+	seq   uint64
+	id    uid
 }
 
 // compHeap is a concrete min-heap of completion events ordered by
@@ -250,7 +307,7 @@ func (h compHeap) less(i, j int) bool {
 	if h[i].cycle != h[j].cycle {
 		return h[i].cycle < h[j].cycle
 	}
-	return h[i].u.seq < h[j].u.seq
+	return h[i].seq < h[j].seq
 }
 
 func (h *compHeap) push(e compEvent) {
@@ -273,7 +330,6 @@ func (h *compHeap) pop() compEvent {
 	s[0], s[n] = s[n], s[0]
 	siftDownComp(s, 0, n)
 	e := s[n]
-	s[n] = compEvent{}
 	*h = s[:n]
 	return e
 }
@@ -298,17 +354,14 @@ func siftDownComp(s compHeap, i, n int) {
 
 // compact removes events of squashed µops and restores the heap
 // property.
-func (h *compHeap) compact() {
+func (h *compHeap) compact(uops []uop) {
 	s := *h
 	k := 0
 	for _, e := range s {
-		if !e.u.squashed {
+		if !uops[e.id].squashed {
 			s[k] = e
 			k++
 		}
-	}
-	for i := k; i < len(s); i++ {
-		s[i] = compEvent{}
 	}
 	s = s[:k]
 	for i := k/2 - 1; i >= 0; i-- {

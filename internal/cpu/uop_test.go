@@ -24,23 +24,33 @@ func TestMain(m *testing.M) {
 // free, the (maxDeps+1)-th distinct producer panics in test mode and
 // saturates silently in release mode.
 func TestAddDepBounds(t *testing.T) {
-	producers := make([]*uop, maxDeps+1)
-	for i := range producers {
-		producers[i] = &uop{seq: uint64(i)}
+	b := prog.NewBuilder()
+	b.Emit(isa.Halt())
+	c, err := New(config.DefaultMachine(), b.MustFinish(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	u := &uop{seq: 99}
+	producers := make([]uid, maxDeps+1)
+	for i := range producers {
+		var p *uop
+		producers[i], p = c.newUop()
+		p.seq = uint64(i)
+	}
+	id, u := c.newUop()
+	u.seq = 99
 	for i := 0; i < maxDeps; i++ {
-		u.addDep(producers[i])
+		c.addDep(id, u, producers[i])
 	}
 	if u.pendingDeps != maxDeps {
 		t.Fatalf("pendingDeps = %d, want %d", u.pendingDeps, maxDeps)
 	}
-	u.addDep(producers[0]) // duplicate: deduplicated, no overflow
+	c.addDep(id, u, producers[0]) // duplicate: deduplicated, no overflow
 	if u.pendingDeps != maxDeps {
 		t.Fatalf("duplicate producer changed pendingDeps to %d", u.pendingDeps)
 	}
-	done := &uop{seq: 77, done: true}
-	u.addDep(done) // completed producer: ignored, no overflow
+	doneID, done := c.newUop()
+	done.seq, done.done = 77, true
+	c.addDep(id, u, doneID) // completed producer: ignored, no overflow
 	if u.pendingDeps != maxDeps {
 		t.Fatalf("completed producer changed pendingDeps to %d", u.pendingDeps)
 	}
@@ -51,17 +61,23 @@ func TestAddDepBounds(t *testing.T) {
 				t.Error("overflowing addDep did not panic in test mode")
 			}
 		}()
-		u.addDep(producers[maxDeps])
+		c.addDep(id, u, producers[maxDeps])
 	}()
 
 	depOverflowPanic = false
 	defer func() { depOverflowPanic = true }()
-	u.addDep(producers[maxDeps]) // release mode: saturate
+	c.addDep(id, u, producers[maxDeps]) // release mode: saturate
 	if u.pendingDeps != maxDeps {
 		t.Errorf("saturating addDep changed pendingDeps to %d", u.pendingDeps)
 	}
-	if len(producers[maxDeps].dependents) != 0 {
+	if c.uops[producers[maxDeps]].wakeHead != 0 {
 		t.Error("dropped producer still recorded a dependent")
+	}
+	for i := 0; i < maxDeps; i++ {
+		if e := c.uops[producers[i]].wakeHead; e != edge(id, int32(i)) {
+			t.Errorf("producer %d's wakeup list starts at edge %d, want consumer %d's edge %d",
+				i, e, id, edge(id, int32(i)))
+		}
 	}
 }
 

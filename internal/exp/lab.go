@@ -108,7 +108,8 @@ type Experiment struct {
 	// Run renders the table or figure. It reads every simulation
 	// through l serially, so its output does not depend on how Runs
 	// was scheduled. It warms nothing itself: call the package-level
-	// Run, which warms Runs in parallel first.
+	// Run, which warms Runs in parallel first, or warm Runs yourself
+	// (wishbench warms the union of a campaign's experiments once).
 	Run func(l *Lab, w io.Writer) error
 }
 

@@ -45,9 +45,9 @@ const (
 	maxCPUCycles = 5_000_000
 )
 
-// ConformanceMachines is the machine-config spread the arch oracle
-// checks by default: the baseline, both predication mechanisms, a
-// resized window, and every oracle knob — the same net the cpu
+// ConformanceMachines is the machine-config spread the arch and timing
+// oracles check by default: the baseline, both predication mechanisms,
+// a resized window, and every oracle knob — the same net the cpu
 // package's pipeline fuzz test casts.
 func ConformanceMachines() []*config.Machine {
 	cfgs := []*config.Machine{
@@ -157,22 +157,13 @@ func diffArch(got, want *emu.State) error {
 	return nil
 }
 
-// TimingMachines is the (smaller) spread the timing oracle checks: the
-// skip-vs-reference identity is scheduler-internal, so the baseline
-// plus the select-µop machine (a different µop stream) suffice per
-// seed; the nightly soak's seed volume covers the rest.
-func TimingMachines() []*config.Machine {
-	return []*config.Machine{
-		config.DefaultMachine(),
-		config.DefaultMachine().WithSelectUop(),
-	}
-}
-
 // TimingOracle checks that event-driven cycle skipping is invisible:
 // for every variant × machine, a run with skipping enabled produces a
-// byte-identical cpu.Result to the reference cycle-by-cycle run.
+// byte-identical cpu.Result to the reference cycle-by-cycle run. It
+// checks the arch oracle's full machine spread: the dead-cycle rule
+// reads the window size and, through needsSelect, the oracle knobs.
 type TimingOracle struct {
-	Machines []*config.Machine // nil = TimingMachines()
+	Machines []*config.Machine // nil = ConformanceMachines()
 }
 
 func (o *TimingOracle) Name() string          { return "timing" }
@@ -181,7 +172,7 @@ func (o *TimingOracle) SourceSensitive() bool { return true }
 func (o *TimingOracle) Check(ctx context.Context, c Case) error {
 	machines := o.Machines
 	if machines == nil {
-		machines = TimingMachines()
+		machines = ConformanceMachines()
 	}
 	thr := compiler.DefaultThresholds()
 	for _, v := range compiler.Variants() {
