@@ -11,6 +11,7 @@
 //	wishbench -exp fig10,fig12        # specific experiments
 //	wishbench -exp all -j 8           # eight simulation workers
 //	wishbench -exp all -cache-dir ""  # no persistent result store
+//	wishbench -exp all -journal D     # crash-safe checkpoint/resume in D
 //	wishbench -list                   # list experiment IDs
 //	wishbench -scale 2.0 -exp fig2
 //	wishbench -exp fig10 -stats-out fig10.json  # machine-readable snapshots
@@ -19,6 +20,11 @@
 // The -server URL may point at a single wishsimd worker or at a
 // `wishsimd -coordinator` fronting a whole cluster — the wire API is
 // identical and the output stays byte-identical either way.
+//
+// A killed campaign resumes from the result store: rerun the same
+// command and only the missing results simulate. -journal adds a
+// per-campaign checkpoint that also covers -cache-dir "" (DESIGN.md
+// §15); wishbench is the only command that has one.
 package main
 
 import (
@@ -43,6 +49,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier (1.0 = reduced-input default)")
 		statsOut = flag.String("stats-out", "", "write every campaign run's stats snapshot as a JSON array to this file")
+		jdir     = flag.String("journal", "", "campaign journal directory: crash-safe checkpoint/resume (empty = off)")
 	)
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	rf := cliflags.RegisterRemote(flag.CommandLine)
@@ -111,7 +118,7 @@ func main() {
 	// uninterrupted run because rendering reads the same memo table
 	// either way.
 	var jnl *journal.Journal
-	if lf.Journal != "" {
+	if *jdir != "" {
 		seen := make(map[string]bool, len(specs))
 		var keys []string
 		for _, s := range specs {
@@ -121,7 +128,7 @@ func main() {
 				keys = append(keys, k)
 			}
 		}
-		jpath := journal.CampaignPath(lf.Journal, keys)
+		jpath := journal.CampaignPath(*jdir, keys)
 		j, rep, err := journal.Open(jpath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wishbench: %v\n", err)

@@ -11,16 +11,16 @@
 //	wishsimd -cache-dir /data/wishcache     # shared persistent store
 //	wishsimd -cache-dir ""                  # memory-only (memo table still shared)
 //	wishsimd -drain-timeout 2m              # SIGTERM drain budget
-//	wishsimd -journal /data/wishjournal     # crash-safe result log, replayed on startup
 //	wishsimd -store-max-bytes 1073741824    # bound the store: LRU eviction at 1 GiB
 //
-// With -journal, every completed result is appended (fsync'd) to a
-// write-ahead journal before any client sees it, and a restarted
-// daemon replays the journal into its memo table and store — a SIGKILL
-// loses nothing it acknowledged. With -store-max-bytes, the store
-// evicts least-recently-accessed records past the bound (/metrics gains
-// store_bytes and evictions); a restart replays the journal's own copy
-// of each result, so eviction never costs a resume.
+// Crash safety is the store's: every fresh result is fsynced and
+// renamed into place before any response carries it, so a SIGKILLed
+// daemon restarted on the same -cache-dir answers everything it had
+// acknowledged from disk and re-simulates only what it had not. With
+// -store-max-bytes, the store evicts least-recently-accessed records
+// past the bound (/metrics gains store_bytes and evictions); an
+// evicted result costs a restarted daemon a re-simulation, never a
+// wrong byte.
 //
 // Cluster mode: the same binary fronts a fleet of workers as a
 // coordinator speaking the identical wire API, so `wishbench -server`
@@ -33,13 +33,15 @@
 // store: the same server, whose lab acquires each result it does not
 // hold by routing the spec's cache key to its home worker on the ring
 // (keeping every worker's memo table hot for its shard), with failover
-// to the next live node (see internal/cluster). -queue, -max-timeout
-// and -journal mean what they mean on a worker. -j is different: a
-// coordinator's routed runs execute on its workers, so this host's CPU
-// count says nothing about the fleet, and without -j the coordinator
-// bounds nothing itself and the workers' 429s are the backpressure. An
-// explicit -j N > 0 caps routed runs in flight at N (failover backoff
-// included) and admission at N + -queue.
+// to the next live node (see internal/cluster). It keeps no store and
+// no journal: a restarted coordinator routes each key to the same home
+// worker, whose memo table and store answer what it had already run.
+// -queue and -max-timeout mean what they mean on a worker. -j is
+// different: a coordinator's routed runs execute on its workers, so
+// this host's CPU count says nothing about the fleet, and without -j
+// the coordinator bounds nothing itself and the workers' 429s are the
+// backpressure. An explicit -j N > 0 caps routed runs in flight at N
+// (failover backoff included) and admission at N + -queue.
 //
 // Endpoints: POST /v1/run, POST /v1/campaign, GET /healthz,
 // GET /metrics (see internal/serve). Responses default to JSON; a
@@ -63,14 +65,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"wishbranch/internal/cliflags"
 	"wishbranch/internal/cluster"
-	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -110,7 +110,8 @@ func run() int {
 
 	sched := lab.New()
 	lf.Apply(sched)
-	// A coordinator's lab keeps no store: its workers own theirs.
+	// A coordinator's lab keeps no store: its workers own theirs, and
+	// a restarted coordinator re-routes to them.
 	var store *lab.Store
 	if !*coordinator {
 		store = lf.OpenStore("wishsimd")
@@ -128,30 +129,6 @@ func run() int {
 		}
 	}
 
-	// Crash safety: replay the journal into the memo table (and store)
-	// and journal every result acquired from here on — a SIGKILL'd
-	// daemon restarts with everything it had acknowledged, and a
-	// restarted coordinator routes only what it had not answered.
-	var jnl *journal.Journal
-	if lf.Journal != "" {
-		name := "server.wbj"
-		if *coordinator {
-			name = "coordinator.wbj"
-		}
-		jpath := filepath.Join(lf.Journal, name)
-		j, rep, err := journal.Open(jpath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-			return 1
-		}
-		defer j.Close()
-		jnl = j
-		resumed := journal.Attach(sched, j, rep, nil, func(err error) {
-			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-		})
-		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, resumed)
-	}
-
 	// A coordinator's routed runs execute on its workers, so this
 	// host's CPU count says nothing about the fleet: unless -j N > 0 is
 	// given it bounds nothing, and its workers' 429s are the
@@ -164,9 +141,6 @@ func run() int {
 		Lab:        sched,
 		Workers:    workers,
 		MaxTimeout: *maxTimeout,
-	}
-	if jnl != nil {
-		srv.JournalStats = jnl.Stats
 	}
 	if *queue <= 0 {
 		srv.QueueDepth = -1

@@ -5,18 +5,18 @@
 // leaves these knobs untuned (§4.2.2, §7); wishtune closes the loop.
 //
 // Every evaluation is an ordinary lab campaign: memoized by spec key,
-// persisted in the result store, optionally journaled for crash-safe
-// resume, and runnable against a wishsimd daemon or cluster
-// coordinator with -server. The search is deterministic: the same
-// -seed (and options) produces a byte-identical table, and a re-run
-// against a warm store schedules zero fresh simulations.
+// persisted in the result store, and runnable against a wishsimd
+// daemon or cluster coordinator with -server. The search is
+// deterministic: the same -seed (and options) produces a
+// byte-identical table, and a re-run against a warm store schedules
+// zero fresh simulations — which is also how a killed search resumes:
+// run the same command again.
 //
 // Usage:
 //
 //	wishtune                                 # tune all nine benchmarks
 //	wishtune -benches gzip,parser -seed 7    # subset, different sample
 //	wishtune -out tuned.json                 # write the policy table
-//	wishtune -journal /tmp/j                 # crash-safe checkpoint/resume
 //	wishtune -server http://host:8081        # evaluate on a daemon/cluster
 package main
 
@@ -26,12 +26,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"wishbranch/internal/cliflags"
-	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/tune"
 	"wishbranch/internal/workload"
@@ -66,33 +64,11 @@ func run() int {
 	defer stopProfiles()
 
 	// Mode wiring (store in local mode, HTTP backend in -server mode)
-	// comes from the shared flag groups. The tuner drives the local
-	// scheduler either way, so the journal hook and the resume seeding
-	// below observe every result; in remote mode each simulation runs
-	// on the server, because the client is the lab's backend.
+	// comes from the shared flag groups. In remote mode each
+	// simulation runs on the server, because the client is the lab's
+	// backend, and the server's store is what a re-run resumes from.
 	sched := lab.New()
 	cliflags.Wire(sched, lf, rf, "wishtune")
-
-	// Crash-safe resume. Unlike wishbench, the tuner's key set is
-	// adaptive — pruning decides later specs from earlier results — so
-	// the journal cannot be named by its spec-set hash up front. One
-	// fixed file per journal directory instead: every replayed result
-	// seeds the memo table (the search is deterministic, so a resumed
-	// run re-requests exactly the same keys), and every new result is
-	// journaled before it becomes observable.
-	if lf.Journal != "" {
-		jpath := filepath.Join(lf.Journal, "tune.wbj")
-		j, rep, err := journal.Open(jpath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wishtune: %v\n", err)
-			return 1
-		}
-		defer j.Close()
-		resumed := journal.Attach(sched, j, rep, nil, func(err error) {
-			fmt.Fprintf(os.Stderr, "wishtune: %v (search continues, not resumable past this point)\n", err)
-		})
-		fmt.Fprintf(os.Stderr, "wishtune: journal %s: resumed_frames=%d\n", jpath, resumed)
-	}
 
 	o := tune.Options{
 		Lab:        sched,

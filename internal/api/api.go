@@ -113,10 +113,10 @@ type StoreMetrics struct {
 	Pinned int `json:"pinned"`
 }
 
-// JournalMetrics is the crash-safety section of /metrics, present when
-// the process runs with a campaign journal (-journal): result frames
-// currently in the journal and how many of them were resumed (replayed
-// at startup) rather than appended by this process.
+// JournalMetrics is a /metrics section no server sends: result frames
+// in a journal and how many were replayed at startup. A daemon resumes
+// from its result store and keeps no journal; the type is kept because
+// wire version 1 may only grow.
 type JournalMetrics struct {
 	Frames  uint64 `json:"frames"`
 	Resumed uint64 `json:"resumed"`
@@ -149,8 +149,8 @@ type Metrics struct {
 	Lab    LabMetrics        `json:"lab"`
 	Stalls map[string]uint64 `json:"stall_cycles"`
 
-	// Store is present when the result store has a size bound; Journal
-	// when the daemon runs with a campaign journal.
+	// Store is present when the result store has a size bound. Journal
+	// is never set (see JournalMetrics).
 	Store   *StoreMetrics   `json:"store,omitempty"`
 	Journal *JournalMetrics `json:"journal,omitempty"`
 }
@@ -203,15 +203,15 @@ type ClusterMetrics struct {
 	Reroutes uint64 `json:"reroutes"`
 	Hedges   uint64 `json:"hedges"`
 	// CheckpointHits counts request items answered without touching a
-	// worker: the coordinator lab's memo hits, i.e. results replayed
-	// from its journal or routed earlier.
+	// worker: the coordinator lab's memo hits, i.e. results this
+	// process routed earlier.
 	CheckpointHits uint64 `json:"checkpoint_hits"`
 
 	Requests  map[string]uint64 `json:"requests"`
 	Responses map[string]uint64 `json:"responses"`
 
-	// Journal is present when the coordinator runs with a journal
-	// (it is the coordinator server's own journal section).
+	// Journal is never set (see JournalMetrics): a coordinator keeps no
+	// journal.
 	Journal *JournalMetrics `json:"journal,omitempty"`
 
 	Workers []WorkerStatus `json:"workers"`

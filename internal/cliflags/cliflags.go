@@ -1,15 +1,15 @@
 // Package cliflags is the one place the CLIs register their shared
 // flags. wishbench, wishsimd, wishtune, wishfuzz, and wishsim grew the
 // same knobs one copy-paste at a time — worker count, result store,
-// journal, remote server, pprof — and the copies had started to drift
+// remote server, pprof — and the copies had started to drift
 // (wishfuzz had no profiling, wishsim had its own pprof boilerplate).
 // A flag registered here lands in every CLI that composes the group,
 // with one name, one default, and one help string.
 //
 // Three composable groups:
 //
-//   - Lab: -j, -cache-dir, -journal, -v — the scheduler-shaped flags
-//     of every campaign-driving command.
+//   - Lab: -j, -cache-dir, -v — the scheduler-shaped flags of every
+//     campaign-driving command.
 //   - Remote: -server — run simulations on a wishsimd daemon (or a
 //     coordinator; the wire is identical).
 //   - Profile: -cpuprofile, -memprofile — pprof capture with the
@@ -17,10 +17,10 @@
 //
 // Wire applies a Lab+Remote selection to the lab.Lab every campaign
 // CLI runs its specs through: a serve.Client installed as the lab's
-// Backend when -server is set, the -cache-dir store otherwise.
-// The -journal flag is registered here but consumed by each command —
-// journal semantics (campaign checkpoint vs. daemon write-ahead log)
-// are the command's business, the flag's existence is not.
+// Backend when -server is set, the -cache-dir store otherwise. The
+// store is also what a killed process resumes from: each result is
+// fsynced and renamed into place before anyone sees it, so a rerun
+// over the same -cache-dir re-simulates only what was missing.
 package cliflags
 
 import (
@@ -38,18 +38,16 @@ import (
 type Lab struct {
 	Workers  int
 	CacheDir string
-	Journal  string
 	Verbose  bool
 }
 
-// RegisterLab registers -j, -cache-dir, -journal, and -v on fs
+// RegisterLab registers -j, -cache-dir, and -v on fs
 // (flag.CommandLine in the CLIs) with the canonical defaults and help
 // strings.
 func RegisterLab(fs *flag.FlagSet) *Lab {
 	var lf Lab
 	fs.IntVar(&lf.Workers, "j", runtime.NumCPU(), "max concurrent simulations")
 	fs.StringVar(&lf.CacheDir, "cache-dir", lab.DefaultDir(), "persistent result store directory (empty = disabled)")
-	fs.StringVar(&lf.Journal, "journal", "", "campaign journal directory: crash-safe checkpoint/resume (empty = off)")
 	fs.BoolVar(&lf.Verbose, "v", false, "log each simulation to stderr")
 	return &lf
 }

@@ -4,9 +4,9 @@
 // worker because it is one, so every existing client — `wishbench
 // -server URL` first among them — points at the coordinator and gets a
 // cluster without changing a byte. Admission, deadlines, drain, the
-// memo table, journal replay and both response encodings are the
-// single-node code; this package owns only the ring, the registry, the
-// route ladder, and the cluster views of /healthz and /metrics.
+// memo table and both response encodings are the single-node code;
+// this package owns only the ring, the registry, the route ladder, and
+// the cluster views of /healthz and /metrics.
 //
 // The design leans on one invariant: a simulation result is a pure
 // function of its lab.Spec key. That makes sharding an affinity
@@ -178,7 +178,6 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CheckpointHits: sm.Lab.MemHits,
 		Requests:       sm.Requests,
 		Responses:      sm.Responses,
-		Journal:        sm.Journal,
 	}
 	if m.Replicas == 0 {
 		m.Replicas = DefaultReplicas

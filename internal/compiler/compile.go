@@ -141,9 +141,11 @@ func negateCC(cc isa.CmpCond) isa.CmpCond {
 		return isa.CmpLT
 	case isa.CmpLE:
 		return isa.CmpGT
-	default:
+	case isa.CmpGT:
 		return isa.CmpLE
 	}
+	fail("invalid compare condition %d", cc)
+	return 0
 }
 
 func cmpOf(t Term, pd, pd2, g isa.PReg) isa.Inst {

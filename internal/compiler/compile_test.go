@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"wishbranch/internal/emu"
@@ -327,6 +328,25 @@ func TestSmallLoopBecomesWishLoop(t *testing.T) {
 	}
 	// Equivalence across all variants too.
 	checkEquivalent(t, src, nil, 4, 1)
+}
+
+// TestInvalidCompareConditionFails: a term whose condition is out of
+// range (as a hand-edited repro file can carry) is a compile error in
+// every variant, whether the term lowers to a branch, whose condition
+// the compiler negates, or to a predicate define.
+func TestInvalidCompareConditionFails(t *testing.T) {
+	bad := TermRR(99, 1, 1)
+	for _, src := range []*Source{
+		{Name: "if", Body: []Node{If{Cond: CondOf(bad), Then: []Node{S(isa.MovI(2, 1))}}}},
+		{Name: "while", Body: []Node{While{Cond: CondOf(bad), Body: []Node{S(isa.MovI(2, 1))}}}},
+	} {
+		for _, v := range Variants() {
+			_, err := Compile(src, v)
+			if err == nil || !strings.Contains(err.Error(), "invalid compare condition 99") {
+				t.Errorf("%s/%v: err = %v, want an invalid compare condition 99", src.Name, v, err)
+			}
+		}
+	}
 }
 
 // TestParseVariant pins ParseVariant as the inverse of Variant.String

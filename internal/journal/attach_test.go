@@ -155,9 +155,6 @@ func TestSecondResumeIsFree(t *testing.T) {
 	if c.Fresh != 0 || calls.Load() != 0 {
 		t.Errorf("second resume ran %d fresh simulations (%d backend calls), want 0", c.Fresh, calls.Load())
 	}
-	if c.Seeded != uint64(len(keys)) {
-		t.Errorf("Seeded = %d, want %d", c.Seeded, len(keys))
-	}
 	if !bytes.Equal(out, fullOut) {
 		t.Error("second resume output differs")
 	}
@@ -191,59 +188,10 @@ func TestSeededEntriesDoNotRefire(t *testing.T) {
 	}
 }
 
-// TestAttachNilKeysSeedsAll covers the journals whose key set is
-// open-ended (the tuner's, a daemon's): with nil keys Attach seeds
-// every replayed result, and with a store it writes back replayed
-// records the store lacks.
-func TestAttachNilKeysSeedsAll(t *testing.T) {
-	specs, keys, backend, calls := synthCampaign(4)
-	path := filepath.Join(t.TempDir(), "j.wbj")
-
-	// A first process, without a store, journals three of the four.
-	j, rep, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := lab.New()
-	l.Backend = backend
-	Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) })
-	l.Warm(specs[:3])
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Its restart, over an empty store, runs the whole campaign.
-	store, err := lab.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, rep, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	l = lab.New()
-	l.Backend = backend
-	l.Store = store
-	if resumed := Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) }); resumed != 3 {
-		t.Errorf("resumed %d results, want 3", resumed)
-	}
-	for _, k := range keys[:3] {
-		if store.Get(k) == nil {
-			t.Errorf("replayed %s was not written back to the store", k)
-		}
-	}
-	calls.Store(0)
-	l.Warm(specs)
-	if got := calls.Load(); got != 1 {
-		t.Errorf("%d backend calls after resume, want 1", got)
-	}
-}
-
-// TestAttachKeepsStoreBound: a journal holds its own copy of every
-// result, so replaying one into a store bounded at a single record
-// leaves the store within its bound, and the resume still needs no
-// backend call — the memo table, not the store, carries it.
+// TestAttachKeepsStoreBound: Attach never writes the store, so
+// replaying a journal into a lab whose store is bounded at a single
+// record leaves the store within its bound, and the resume still needs
+// no backend call — the memo table, not the store, carries it.
 func TestAttachKeepsStoreBound(t *testing.T) {
 	specs, keys, backend, calls := synthCampaign(4)
 	path := filepath.Join(t.TempDir(), "j.wbj")
@@ -270,11 +218,16 @@ func TestAttachKeepsStoreBound(t *testing.T) {
 	l := lab.New()
 	l.Backend = backend
 	l.Store = store
-	if resumed := Attach(l, j, rep, nil, func(err error) { t.Errorf("journal append: %v", err) }); resumed != len(keys) {
+	if resumed := Attach(l, j, rep, keys, func(err error) { t.Errorf("journal append: %v", err) }); resumed != len(keys) {
 		t.Errorf("resumed %d results, want %d", resumed, len(keys))
 	}
 	if store.Bytes() > store.MaxBytes() {
 		t.Errorf("store holds %d bytes over its %d-byte bound", store.Bytes(), store.MaxBytes())
+	}
+	for _, k := range keys[1:] {
+		if store.Get(k) != nil {
+			t.Errorf("Attach wrote replayed %s to the store", k)
+		}
 	}
 	calls.Store(0)
 	l.Warm(specs)

@@ -1,9 +1,10 @@
 // Package journal is the crash-safe campaign write-ahead log behind
-// checkpoint/resume: an append-only file of length-prefixed, CRC-sealed
-// frames recording a campaign's spec set and every completed result
-// (serialized with the cpu binary result codec), fsync'd on append so a
-// SIGKILL at any instant loses at most the frame being written — never
-// a frame already acknowledged.
+// wishbench -journal, which resumes a campaign that has no result
+// store to resume from: an append-only file of length-prefixed,
+// CRC-sealed frames recording a campaign's spec set and every
+// completed result (serialized with the cpu binary result codec),
+// fsync'd on append so a SIGKILL at any instant loses at most the
+// frame being written — never a frame already acknowledged.
 //
 // The recovery contract mirrors lab.Store's corrupt-entry handling: on
 // Open the file is scanned frame by frame and truncated back to the end

@@ -20,9 +20,9 @@ import (
 // Eviction is advisory, never load-bearing: an evicted record is just
 // a future store miss that re-simulates, so a bound that is too tight
 // degrades a warm campaign to a cold one and nothing else
-// (TestEvictionNeverBreaksCampaign). That holds for a resumed campaign
-// too: journal.Attach seeds the memo table from the journal's own copy
-// of each result, so no resume reads the store for a journaled run.
+// (TestEvictionNeverBreaksCampaign). The same holds for a killed
+// daemon that resumes from its store: a result evicted before the
+// crash costs the restart a re-simulation, never a wrong byte.
 
 type gcState struct {
 	maxBytes  int64

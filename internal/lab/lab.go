@@ -52,10 +52,10 @@ type Lab struct {
 	// OnResult, when non-nil, observes every result this process
 	// acquires — fresh simulation, store hit, or backend call — exactly
 	// once per key, before any waiter on that key is released. It is
-	// the campaign journal's hook (internal/journal.Attach): results
-	// are journaled before they are observable, so a crash can lose
-	// only work nobody has seen. Seeded entries (results replayed from
-	// a journal) do not re-fire it. Set before the first run.
+	// wishbench's campaign-journal hook (internal/journal.Attach):
+	// results are journaled before they are observable, so a crash can
+	// lose only work nobody has seen. Seeded entries (results replayed
+	// from a journal) do not re-fire it. Set before the first run.
 	OnResult func(k Keyed, r *cpu.Result)
 
 	mu      sync.Mutex
@@ -91,9 +91,6 @@ type Counters struct {
 	// was cancelled or timed out. Cancelled runs are not memoized:
 	// the next request for the same key simulates afresh.
 	Canceled uint64
-	// Seeded counts memo entries pre-populated by Seed (journal
-	// replay) rather than produced by this process.
-	Seeded uint64
 }
 
 // Runs returns all completed acquisitions (fresh + disk hits).
@@ -228,7 +225,6 @@ func (l *Lab) Seed(key string, r *cpu.Result) bool {
 	e := &entry{done: make(chan struct{}), res: r}
 	close(e.done)
 	l.entries[key] = e
-	l.c.Seeded++
 	return true
 }
 

@@ -91,12 +91,6 @@ type Server struct {
 	MaxTimeout time.Duration
 	// Fault, when non-nil, is the deterministic fault-injection hook.
 	Fault *Fault
-	// JournalStats, when non-nil, feeds the /metrics journal section:
-	// it reports the campaign journal's frame counts (total result
-	// frames, frames resumed at startup). cmd/wishsimd points it at
-	// journal.Journal.Stats when -journal is set; serve itself stays
-	// journal-agnostic.
-	JournalStats func() (frames, resumed uint64)
 	// Log, when non-nil, receives one line per rejected or faulted
 	// request.
 	Log io.Writer
@@ -489,10 +483,6 @@ func (s *Server) Metrics() api.Metrics {
 			MaxBytes:  st.MaxBytes(),
 			Evictions: st.Evictions(),
 		}
-	}
-	if s.JournalStats != nil {
-		frames, resumed := s.JournalStats()
-		m.Journal = &api.JournalMetrics{Frames: frames, Resumed: resumed}
 	}
 	s.mu.Lock()
 	for k, v := range s.reqs {

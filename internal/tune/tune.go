@@ -16,8 +16,9 @@
 // scale. Every evaluation batch is an ordinary campaign warmed through
 // a lab.Lab, so the same tuner runs in-process or, with the lab's
 // Backend set to a serve.Client, against a wishsimd daemon or a
-// cluster — and every evaluation is memoized by spec key, journaled,
-// and stored like any other run.
+// cluster — and every evaluation is memoized by spec key and stored
+// like any other run, so a re-run of a killed search resumes from the
+// store.
 //
 // Determinism contract: with equal Options (including Seed), Tune
 // produces a byte-identical Table. Scoring uses the simulator's
@@ -225,7 +226,9 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// Tuning defaults (used when the corresponding Options field is zero).
+// Tuning defaults. DefaultCandidates and DefaultRungs apply when the
+// corresponding Options field is zero; DefaultClimb is wishtune's -climb
+// default, because a zero Climb means no climbing.
 const (
 	DefaultCandidates = 12
 	DefaultRungs      = 3
@@ -255,7 +258,7 @@ type Options struct {
 	// Scale is the full workload scale (default workload.DefaultScale).
 	Scale float64
 	// Climb bounds the hill-climb refinement rounds after halving
-	// (default DefaultClimb; negative disables climbing).
+	// (<= 0 disables climbing).
 	Climb int
 	// Log receives deterministic progress lines (nil = silent).
 	Log io.Writer
@@ -342,13 +345,6 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 	if o.Scale <= 0 {
 		o.Scale = workload.DefaultScale
 	}
-	climb := o.Climb
-	if climb == 0 {
-		climb = DefaultClimb
-	}
-	if climb < 0 {
-		climb = 0
-	}
 	logf := func(format string, args ...any) {
 		if o.Log != nil {
 			fmt.Fprintf(o.Log, format, args...)
@@ -430,7 +426,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 	for _, bench := range benches {
 		cur[bench] = cands[alive[bench][0]]
 	}
-	for round := 0; round < climb; round++ {
+	for round := 0; round < o.Climb; round++ {
 		type move struct {
 			bench string
 			c     candidate
@@ -451,7 +447,7 @@ func Tune(ctx context.Context, o Options) (*Table, error) {
 		if len(reqs) == 0 {
 			break
 		}
-		logf("tune: climb round %d/%d: %d evaluations\n", round+1, climb, len(reqs))
+		logf("tune: climb round %d/%d: %d evaluations\n", round+1, o.Climb, len(reqs))
 		if err := ev.run(ctx, reqs); err != nil {
 			return nil, err
 		}

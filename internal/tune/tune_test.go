@@ -201,6 +201,25 @@ func TestTuneBatchesCampaigns(t *testing.T) {
 	}
 }
 
+// TestTuneClimbZeroDoesNotClimb: a zero Climb is "off", as wishtune's
+// -climb help says, not the default number of rounds.
+func TestTuneClimbZeroDoesNotClimb(t *testing.T) {
+	o := testOptions(lab.New())
+	o.Scale = 0.05
+	o.Climb = 0
+	var log bytes.Buffer
+	o.Log = &log
+	if _, err := Tune(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "rung 2/2") {
+		t.Fatalf("log lacks the last halving rung:\n%s", log.String())
+	}
+	if strings.Contains(log.String(), "climb round") {
+		t.Fatalf("Climb 0 climbed:\n%s", log.String())
+	}
+}
+
 // TestTuneWarmStoreRunsNothingFresh re-runs the search against a warm
 // persistent store: determinism means every spec key recurs, so the
 // second scheduler must serve everything from disk.

@@ -5,17 +5,20 @@
 #
 #   1. cluster stdout is byte-identical to a local (in-process) run,
 #   2. the coordinator actually sharded (every worker saw requests),
-#   3. a fresh campaign survives SIGKILL of one worker mid-flight and
-#      its output is still byte-identical,
-#   4. /metrics reflects the death (live_workers drops, reroutes move),
-#   5. the coordinator negotiates encodings like a worker: the v1
+#   3. the coordinator negotiates encodings like a worker: the v1
 #      fixture run and campaign requests sent with the binary Accept
 #      headers come back as the binary result and the campaign stream,
-#   6. the cluster heals: with every worker SIGKILLed a run for an
+#   4. a fresh campaign survives SIGKILL of one worker mid-flight and
+#      its output is still byte-identical,
+#   5. /metrics reflects the death (live_workers drops, reroutes move),
+#   6. a poison spec (BTBEntries 3, which no BTB geometry accepts) is
+#      a 400 on the coordinator's /v1/run and /v1/campaign, and all
+#      three workers stay live,
+#   7. the cluster heals: with every worker SIGKILLed a run for an
 #      unseen key is 503 with Retry-After, and once one worker restarts
 #      on its old port the same request answers 200 within two probe
 #      intervals (a routing failure is not memoized),
-#   7. SIGTERM drains the coordinator cleanly and it exits 0.
+#   8. SIGTERM drains the coordinator cleanly and it exits 0.
 #
 # Runnable locally (./scripts/e2e_cluster.sh) and from CI. Needs curl;
 # uses jq when present and a grep fallback when not.
@@ -138,6 +141,20 @@ GOT=$(post /v1/campaign "application/x-wishbranch-stream, application/json" \
 [[ "$GOT" == "200 application/x-wishbranch-stream"* ]] \
   || fail "coordinator /v1/campaign answered '$GOT', want 200 application/x-wishbranch-stream"
 echo "coordinator answers the binary result and the campaign stream"
+
+echo "== poison spec: BTBEntries 3 through the coordinator =="
+for f in run_request campaign_request; do
+  sed 's/"BTBEntries": 4096/"BTBEntries": 3/' "$FIXTURES/$f.json" >"$WORK/poison_$f.json"
+  grep -q '"BTBEntries": 3' "$WORK/poison_$f.json" || fail "no BTBEntries field to poison in $f.json"
+done
+GOT=$(post /v1/run application/json "$WORK/poison_run_request.json" "$WORK/poison_run.json")
+[[ "$GOT" == "400 "* ]] || fail "poison /v1/run answered '$GOT', want 400"
+GOT=$(post /v1/campaign application/json "$WORK/poison_campaign_request.json" "$WORK/poison_campaign.json")
+[[ "$GOT" == "400 "* ]] || fail "poison /v1/campaign answered '$GOT', want 400"
+sleep 1 # two probe intervals: a worker the spec had killed would be seen dead
+LIVE=$(metric live_workers)
+[[ "$LIVE" == 3 ]] || fail "live_workers is $LIVE after the poison spec, want 3"
+echo "poison spec rejected with 400 on both endpoints; live_workers=$LIVE"
 
 echo "== kill worker 1 mid-campaign (fresh scale $SCALE2), rerun =="
 "$WORK/wishbench" -exp "$EXP" -scale "$SCALE2" -cache-dir "" \
