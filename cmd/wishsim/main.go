@@ -118,14 +118,7 @@ func main() {
 		printResult(*bench, in, v, res, elapsed)
 	} else {
 		l := lab.New()
-		if *cacheDir != "" {
-			store, serr := lab.OpenStore(*cacheDir)
-			if serr != nil {
-				fmt.Fprintf(os.Stderr, "wishsim: %v (continuing without store)\n", serr)
-			} else {
-				l.Store = store
-			}
-		}
+		l.Store = (&cliflags.Lab{CacheDir: *cacheDir}).OpenStore("wishsim")
 		t0 := time.Now()
 		res, err = l.Result(spec)
 		elapsed := time.Since(t0)

@@ -29,11 +29,12 @@
 //	wishsimd -coordinator -worker http://h1:8081,http://h2:8081,http://h3:8081
 //	wishsimd -coordinator -worker ... -probe-interval 1s # membership probes
 //
-// A coordinator is worker mode with the worker ring in place of the
+// A coordinator is worker mode with its workers in place of the
 // store: the same server, whose lab acquires each result it does not
-// hold by routing the spec's cache key to its home worker on the ring
-// (keeping every worker's memo table hot for its shard), with failover
-// to the next live node (see internal/cluster). It keeps no store and
+// hold by routing the spec's cache key to its home worker, chosen by
+// rendezvous hashing over the live workers (keeping every worker's
+// memo table hot for its shard), with failover to the worker that
+// ranks next for the key (see internal/cluster). It keeps no store and
 // no journal: a restarted coordinator routes each key to the same home
 // worker, whose memo table and store answer what it had already run.
 // -queue and -max-timeout mean what they mean on a worker. -j is
@@ -90,7 +91,6 @@ func run() int {
 		coordinator   = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
 		workerList    = flag.String("worker", "", "comma-separated worker base URLs (coordinator mode; repeatable via commas)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker /healthz probe cadence (coordinator mode)")
-		replicas      = flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per worker on the hash ring (coordinator mode)")
 	)
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	flag.Parse()
@@ -158,7 +158,6 @@ func run() int {
 	}
 	reg := cluster.NewRegistry(urls)
 	reg.ProbeInterval = *probeInterval
-	reg.Replicas = *replicas
 	if lf.Verbose {
 		reg.Log = os.Stderr
 	}
@@ -170,7 +169,7 @@ func run() int {
 		inFlight = "unbounded in flight"
 	}
 	return serveUntilSignal(*addr, handler,
-		fmt.Sprintf("coordinating %d workers on %s (probe every %v, %s)", len(urls), *addr, *probeInterval, inFlight),
+		fmt.Sprintf("coordinating %d workers on %s (probe every %v, %s)", len(reg.Workers()), *addr, *probeInterval, inFlight),
 		*drainTimeout, srv.Drain, sched.Summary)
 }
 

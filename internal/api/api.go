@@ -162,8 +162,8 @@ type ClusterHealth struct {
 	Status     string  `json:"status"`
 	UptimeSecs float64 `json:"uptime_secs"`
 	// Generation is the membership generation: it increments on every
-	// worker liveness transition, so a changed value means the ring
-	// was rebuilt.
+	// worker liveness transition, so a changed value means the live set
+	// changed, and with it where some keys are homed.
 	Generation   uint64 `json:"generation"`
 	LiveWorkers  int    `json:"live_workers"`
 	TotalWorkers int    `json:"total_workers"`
@@ -183,23 +183,26 @@ type WorkerStatus struct {
 	Hedges uint64 `json:"hedges"`
 }
 
-// ClusterMetrics is the coordinator's /metrics body: ring state,
+// ClusterMetrics is the coordinator's /metrics body: membership,
 // routing counters, and the per-worker table.
 type ClusterMetrics struct {
 	Schema     int     `json:"schema"`
 	UptimeSecs float64 `json:"uptime_secs"`
 	Draining   bool    `json:"draining"`
 
-	// Ring state.
+	// Membership. Replicas always reads 0: the coordinator places keys
+	// by rendezvous hashing, which has no virtual nodes. The field is
+	// kept because wire version 1 may only grow.
 	Generation   uint64 `json:"generation"`
 	Replicas     int    `json:"replicas"`
 	LiveWorkers  int    `json:"live_workers"`
 	TotalWorkers int    `json:"total_workers"`
 
-	// Routing counters: Reroutes counts re-dispatches of a run to a
-	// freshly-resolved ring (after a failure or a busy worker). Hedges
-	// always reads 0: the coordinator no longer hedges, and the field
-	// is kept because wire version 1 may only grow.
+	// Routing counters: Reroutes counts re-dispatches of a run (after a
+	// failure or a busy worker), each to its home among the workers
+	// then live. Hedges always reads 0: the coordinator no longer
+	// hedges, and the field is kept because wire version 1 may only
+	// grow.
 	Reroutes uint64 `json:"reroutes"`
 	Hedges   uint64 `json:"hedges"`
 	// CheckpointHits counts request items answered without touching a

@@ -24,12 +24,17 @@
 package cliflags
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
 
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -97,7 +102,12 @@ func RegisterRemote(fs *flag.FlagSet) *Remote {
 // as sched's Backend. The daemon owns the memoization and the
 // persistent store, so the local store stays off — otherwise a warm
 // local cache would hide the server from this process and defeat the
-// point of sharing it.
+// point of sharing it. The first run whose retries end in a transport
+// failure (refused, reset, timed out) while its caller still waits
+// fails every later run at once with the same error, so a campaign
+// against a dead server fails after one retry ladder per -j slot, not
+// one per spec. This stays out of serve.Client: a coordinator's
+// per-worker clients must keep reaching a worker that comes back.
 //
 // Local mode: the -cache-dir store (when it opens) backs sched.
 func Wire(sched *lab.Lab, lf *Lab, rf *Remote, prefix string) {
@@ -107,7 +117,18 @@ func Wire(sched *lab.Lab, lf *Lab, rf *Remote, prefix string) {
 		if lf.Verbose {
 			cl.Log = os.Stderr
 		}
-		sched.Backend = cl.Run
+		var down atomic.Pointer[error]
+		sched.Backend = func(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
+			if err := down.Load(); err != nil {
+				return nil, *err
+			}
+			res, err := cl.Run(ctx, spec)
+			var ue *url.Error
+			if err != nil && ctx.Err() == nil && errors.As(err, &ue) {
+				down.CompareAndSwap(nil, &err)
+			}
+			return res, err
+		}
 		fmt.Fprintf(os.Stderr, "%s: simulating remotely on %s\n", prefix, rf.Server)
 		return
 	}

@@ -1,33 +1,34 @@
 // Package cluster scales the simulation service out. A coordinator is
-// a serve.Server whose lab simulates on a ring of wishsimd workers: it
+// a serve.Server whose lab simulates on a set of wishsimd workers: it
 // speaks the exact /v1/run and /v1/campaign wire API of a single
 // worker because it is one, so every existing client — `wishbench
 // -server URL` first among them — points at the coordinator and gets a
 // cluster without changing a byte. Admission, deadlines, drain, the
 // memo table and both response encodings are the single-node code;
-// this package owns only the ring, the registry, the route ladder, and
-// the cluster views of /healthz and /metrics.
+// this package owns only key placement, the registry, the route
+// ladder, and the cluster views of /healthz and /metrics.
 //
 // The design leans on one invariant: a simulation result is a pure
 // function of its lab.Spec key. That makes sharding an affinity
 // optimization rather than a correctness concern — any worker can
 // serve any spec, but routing a key to the same worker every time
 // keeps that worker's singleflight memo table and persistent store hot
-// for its shard. The coordinator therefore consistent-hashes the lab
-// cache key onto a ring of workers (Ring) and tracks membership with
-// generation-numbered liveness (Registry). Every run, each campaign
-// item included, goes to its home worker as one /v1/run, and the
-// server assembles campaign answers in request order, so cluster
-// output is byte-identical to a single-node run at any worker count
-// and under any failover history.
+// for its shard. The coordinator therefore places each lab cache key
+// on a home worker by rendezvous hashing over the live workers
+// (Registry.home) and tracks membership with generation-numbered
+// liveness (Registry). Every run, each campaign item included, goes to
+// its home worker as one /v1/run, and the server assembles campaign
+// answers in request order, so cluster output is byte-identical to a
+// single-node run at any worker count and under any failover history.
 //
 // Robustness is the point:
 //
 //   - Failover: a worker that fails a request with a transport error
 //     or 5xx is marked dead on the spot; the run retries with backoff
-//     against a freshly-resolved ring, landing on the next live node
-//     clockwise. Periodic /healthz probes resurrect workers that heal
-//     (and demote ones that die quietly or start draining).
+//     against the remaining live workers, landing on the one that
+//     ranks next for its key. Periodic /healthz probes resurrect
+//     workers that heal (and demote ones that die quietly or start
+//     draining).
 //   - Backpressure: a run whose every route answers 429 is reported as
 //     429 with the maximum Retry-After seen — the cluster propagates
 //     honest backpressure instead of absorbing it into an unbounded
@@ -93,8 +94,8 @@ func NewCoordinator(reg *Registry, srv *serve.Server) *Coordinator {
 // it has the lab.Lab.Backend signature. A routing failure comes back
 // as the *serve.StatusError the server answers with: a worker's status
 // passes through (an exhausted 429 with the largest Retry-After seen),
-// an empty ring is 503 with a Retry-After of one probe interval plus a
-// second, and a ladder that exhausted every route is 502. Each of
+// no live worker is 503 with a Retry-After of one probe interval plus
+// a second, and a ladder that exhausted every route is 502. Each of
 // these except a worker's 4xx verdict on the spec also wraps
 // lab.ErrUnavailable, so the failure is not memoized. A dead request
 // context comes back as is.
@@ -130,7 +131,7 @@ func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, err
 //	POST /v1/run       one simulation, routed to its home worker
 //	POST /v1/campaign  a batch, each item routed to its home worker
 //	GET  /healthz      cluster liveness (api.ClusterHealth)
-//	GET  /metrics      ring state + per-worker counters (api.ClusterMetrics)
+//	GET  /metrics      membership + per-worker counters (api.ClusterMetrics)
 //
 // The POST endpoints are the server's own handler.
 func (co *Coordinator) Handler() http.Handler {
@@ -171,16 +172,12 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeSecs:     sm.UptimeSecs,
 		Draining:       sm.Draining,
 		Generation:     co.Registry.Generation(),
-		Replicas:       co.Registry.Replicas,
 		LiveWorkers:    len(co.Registry.Live()),
 		TotalWorkers:   len(workers),
 		Reroutes:       co.reroutes.Load(),
 		CheckpointHits: sm.Lab.MemHits,
 		Requests:       sm.Requests,
 		Responses:      sm.Responses,
-	}
-	if m.Replicas == 0 {
-		m.Replicas = DefaultReplicas
 	}
 	for _, wk := range workers {
 		m.Workers = append(m.Workers, api.WorkerStatus{

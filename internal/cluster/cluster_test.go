@@ -94,7 +94,7 @@ func specHomedAt(t *testing.T, co *Coordinator, w *Worker) lab.Spec {
 	t.Helper()
 	for i := 1; i < 10000; i++ {
 		s := testSpec(0.0001 * float64(i))
-		if co.Registry.Ring().Lookup(s.Key(), 1)[0] == w {
+		if co.Registry.home(s.Key()) == w {
 			return s
 		}
 	}
@@ -211,7 +211,7 @@ func TestClusterWorkerDeathFailover(t *testing.T) {
 
 	// Kill the worker that owns the first spec — its shard must fail
 	// over. (Close is the in-process SIGKILL: connections refuse.)
-	victim := co.Registry.Ring().Lookup(specs[0].Key(), 1)[0]
+	victim := co.Registry.home(specs[0].Key())
 	for i, s := range servers {
 		if s.URL == victim.URL {
 			servers[i].Close()
@@ -319,7 +319,7 @@ func TestCluster429Propagation(t *testing.T) {
 }
 
 // TestClusterHealthAndMetrics: /healthz degrades when the last worker
-// dies, and /metrics exposes ring state and per-worker counters.
+// dies, and /metrics exposes membership and per-worker counters.
 func TestClusterHealthAndMetrics(t *testing.T) {
 	w1 := startWorker(t, scriptedLab(nil))
 	co, cl, ts := startCluster(t, []string{w1.URL}, nil)
@@ -344,8 +344,8 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalWorkers != 1 || m.LiveWorkers != 1 || m.Replicas != DefaultReplicas {
-		t.Errorf("metrics ring state = %+v, want 1/1 workers at default replicas", m)
+	if m.TotalWorkers != 1 || m.LiveWorkers != 1 || m.Replicas != 0 {
+		t.Errorf("metrics membership = %+v, want 1/1 workers and replicas 0", m)
 	}
 	if len(m.Workers) != 1 || m.Workers[0].Requests == 0 {
 		t.Errorf("per-worker counters = %+v, want a request recorded", m.Workers)
@@ -462,7 +462,7 @@ func TestClusterBadRequests(t *testing.T) {
 
 // TestClusterSurvivesPoisonSpec: a spec whose machine the simulator
 // cannot build (a BTB geometry NewBTB panics on) is a 400 at the
-// coordinator on both endpoints. It must not reach the ring: a worker
+// coordinator on both endpoints. It must not be routed: a worker
 // that died of it would read as a transport error and the spec would be
 // rerouted until every worker was dead. Afterwards all three workers
 // are live and the cluster serves a real simulation.

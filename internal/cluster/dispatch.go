@@ -10,9 +10,9 @@ import (
 	"wishbranch/internal/serve"
 )
 
-// ErrNoWorkers is returned when the ring has no live workers to route
-// to; the coordinator answers it with 503 and a Retry-After of one
-// probe interval plus a second (the soonest membership can improve).
+// ErrNoWorkers is returned when no worker is live to route to; the
+// coordinator answers it with 503 and a Retry-After of one probe
+// interval plus a second (the soonest membership can improve).
 var ErrNoWorkers = errors.New("cluster: no live workers")
 
 // routable reports whether a failure indicts the worker rather than
@@ -31,8 +31,9 @@ func routable(err error) bool {
 // route executes fn against key's home worker with the robustness
 // ladder: one attempt in flight at a time, the failed worker marked
 // dead on a routable failure, and a bounded backoff-retry loop that
-// re-resolves the ring each attempt — so a key whose home died
-// re-homes to the next live node clockwise, its old ring successor.
+// asks Registry.home again each attempt — so a key whose home died
+// lands on the live worker that ranks next for it, and goes back once
+// the probe resurrects its home.
 //
 // 429s are aggregated, not routed around: if every attempt ends busy,
 // route returns a single 429 carrying the maximum Retry-After seen, so
@@ -50,8 +51,8 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 				return nil, ctx.Err()
 			}
 		}
-		cands := co.Registry.Ring().Lookup(key, 1)
-		if len(cands) == 0 {
+		w := co.Registry.home(key)
+		if w == nil {
 			if sawBusy {
 				lastErr = busyErr(maxRetryAfter)
 			} else if lastErr == nil {
@@ -59,7 +60,6 @@ func (co *Coordinator) route(ctx context.Context, key string, fn func(context.Co
 			}
 			return nil, lastErr
 		}
-		w := cands[0]
 		w.reqs.Add(1)
 		res, err := fn(ctx, w)
 		if err == nil {
@@ -112,8 +112,8 @@ func (co *Coordinator) retries() int {
 }
 
 // backoff is the re-route wait schedule: exponential from Backoff,
-// capped at MaxBackoff. No jitter — a coordinator retries against a
-// freshly-resolved ring, not a thundering herd of identical clients.
+// capped at MaxBackoff. No jitter — a coordinator retries against the
+// live set as it stands, not a thundering herd of identical clients.
 func (co *Coordinator) backoff(attempt int) time.Duration {
 	first, ceiling := co.Backoff, co.MaxBackoff
 	if first <= 0 {

@@ -23,12 +23,12 @@ func dispatchCoordinator(tune func(*Coordinator)) *Coordinator {
 }
 
 // TestRouteFailoverMarksDeadAndRehomes: a transport failure at the
-// home worker demotes it and lands the retry on the next live ring
-// node — the old successor.
+// home worker demotes it and lands the retry on the worker that ranks
+// next for the key.
 func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	const key = "shard-key"
-	cands := co.Registry.Ring().Lookup(key, 2)
+	cands := ranked(co.Registry, key)
 	home, successor := cands[0], cands[1]
 
 	var tried []string
@@ -45,7 +45,7 @@ func TestRouteFailoverMarksDeadAndRehomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if served != successor {
-		t.Errorf("re-homed to %v, want the old ring successor %s (tried %v)", served, successor.URL, tried)
+		t.Errorf("re-homed to %v, want the next-ranked %s (tried %v)", served, successor.URL, tried)
 	}
 	if home.Alive() {
 		t.Error("failed home worker was not marked dead")
@@ -113,7 +113,7 @@ func TestRouteBusyAggregatesRetryAfter(t *testing.T) {
 func TestRouteCancelledAttemptKeepsWorkerLive(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	const key = "straggler"
-	home := co.Registry.Ring().Lookup(key, 1)[0]
+	home := co.Registry.home(key)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -134,11 +134,11 @@ func TestRouteCancelledAttemptKeepsWorkerLive(t *testing.T) {
 
 // TestRouteSlowHomeGetsOneAttempt: a home worker that answers late
 // still owns its shard — route keeps exactly one attempt in flight, so
-// the ring successor never sees the request.
+// the next-ranked worker never sees the request.
 func TestRouteSlowHomeGetsOneAttempt(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	const key = "slow-but-answering"
-	cands := co.Registry.Ring().Lookup(key, 2)
+	cands := ranked(co.Registry, key)
 	home, successor := cands[0], cands[1]
 
 	want := &cpu.Result{Cycles: 42}
@@ -157,7 +157,7 @@ func TestRouteSlowHomeGetsOneAttempt(t *testing.T) {
 	}
 }
 
-// TestRouteNoLiveWorkers: an empty ring reports ErrNoWorkers.
+// TestRouteNoLiveWorkers: no live worker reports ErrNoWorkers.
 func TestRouteNoLiveWorkers(t *testing.T) {
 	co := dispatchCoordinator(nil)
 	for _, w := range co.Registry.Workers() {
@@ -173,7 +173,7 @@ func TestRouteNoLiveWorkers(t *testing.T) {
 }
 
 // TestRouteExhaustionDrainsRing: every worker fails; route demotes
-// them one by one and reports the last failure once the ring is dry.
+// them one by one and reports the last failure once none is live.
 func TestRouteExhaustionDrainsRing(t *testing.T) {
 	co := dispatchCoordinator(func(c *Coordinator) { c.Retries = 10 })
 	_, err := co.route(context.Background(), "k", func(ctx context.Context, w *Worker) (*cpu.Result, error) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
 
@@ -24,7 +25,7 @@ const (
 // the probe merely confirms, and resurrects it when it heals).
 type Worker struct {
 	// URL is the worker's base URL; it is also the worker's identity
-	// on the hash ring.
+	// in key placement (see Registry.home).
 	URL string
 	// Client is the wire client for this worker. Its internal retries
 	// are disabled — the coordinator owns retry policy, because a
@@ -32,6 +33,7 @@ type Worker struct {
 	// inside a single-worker client loop.
 	Client *serve.Client
 
+	seed  uint64 // lab.KeyHash(URL), fixed at NewRegistry
 	alive atomic.Bool
 	reqs  atomic.Uint64 // attempts routed to this worker
 	errs  atomic.Uint64 // attempts that failed
@@ -42,39 +44,41 @@ func (w *Worker) Alive() bool { return w.alive.Load() }
 
 // Registry tracks cluster membership: the fixed worker set, each
 // worker's liveness, and a generation number that increments on every
-// liveness transition. The generation makes membership observable and
-// cheap to act on — Ring caches its consistent-hash ring per
-// generation, so the steady state (nobody flapping) rebuilds nothing.
+// liveness transition, so /healthz and /metrics show when the live set
+// changed. It also places keys: home picks a key's worker from the
+// live set on every call, so placement needs no state of its own.
 type Registry struct {
 	// ProbeInterval is the health-probe cadence once Start has been
 	// called (0 means DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// Replicas is the virtual-node count per worker on the ring
-	// (0 means DefaultReplicas).
-	Replicas int
 	// Log, when non-nil, receives one line per liveness transition.
 	Log io.Writer
 
 	workers []*Worker
 	gen     atomic.Uint64
 
-	mu      sync.Mutex
-	ring    *Ring
-	ringGen uint64
-	built   bool
+	mu sync.Mutex // serializes Log lines
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewRegistry builds a registry over the given worker base URLs. All
-// workers start optimistically alive: the first failed request or
-// probe demotes a dead one, which costs one bounded retry instead of
-// blocking startup on a probe round.
+// NewRegistry builds a registry over the given worker base URLs, one
+// worker per distinct URL (the first entry wins): a repeated URL would
+// never home a key, yet a run whose home died would spend one more
+// failed attempt on the copy before re-homing. All workers start
+// optimistically alive: the first failed request or probe demotes a
+// dead one, which costs one bounded retry instead of blocking startup
+// on a probe round.
 func NewRegistry(urls []string) *Registry {
 	r := &Registry{}
+	seen := make(map[string]bool, len(urls))
 	for _, u := range urls {
-		w := &Worker{URL: u, Client: &serve.Client{Base: u, Retries: -1}}
+		if seen[u] {
+			continue
+		}
+		seen[u] = true
+		w := &Worker{URL: u, Client: &serve.Client{Base: u, Retries: -1}, seed: lab.KeyHash(u)}
 		w.alive.Store(true)
 		r.workers = append(r.workers, w)
 	}
@@ -117,21 +121,38 @@ func (r *Registry) MarkLive(w *Worker) {
 	}
 }
 
-// Ring returns the consistent-hash ring over the live workers, cached
-// per membership generation: a ring is rebuilt only when liveness
-// actually changed. (A transition racing the rebuild at worst yields a
-// ring one generation stale for one call — requests against it fail
-// over exactly like any other stale-routing case.)
-func (r *Registry) Ring() *Ring {
-	g := r.gen.Load()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.built || r.ringGen != g {
-		r.ring = BuildRing(r.Live(), r.Replicas)
-		r.ringGen = g
-		r.built = true
+// home returns key's home worker by rendezvous hashing (Thaler &
+// Ravishankar, 1998): of the live workers, the one with the largest
+// weight mix(lab.KeyHash(key) ^ seed), ties going to the worker
+// registered first; nil when none is live. Placement is a function of
+// the live set alone, not of flag order, and it moves as little as it
+// can: a worker's death re-homes only its own keys, each to the worker
+// that ranks next for it, and its return moves them back.
+func (r *Registry) home(key string) *Worker {
+	h := lab.KeyHash(key)
+	var best *Worker
+	var bestWeight uint64
+	for _, w := range r.workers {
+		if !w.Alive() {
+			continue
+		}
+		if wt := mix(h ^ w.seed); best == nil || wt > bestWeight {
+			best, bestWeight = w, wt
+		}
 	}
-	return r.ring
+	return best
+}
+
+// mix is the splitmix64 finalizer. FNV-1a hashes of keys that differ
+// only in their last bytes differ in only a few bits; mixing spreads
+// them over the whole word, so each key ranks the workers
+// independently of its neighbours.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Start launches the background health-probe loop: every

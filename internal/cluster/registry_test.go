@@ -15,15 +15,13 @@ import (
 )
 
 // TestRegistryGenerationsAndRingCache: liveness transitions bump the
-// generation exactly once each, the ring is cached per generation, and
-// dead workers drop off it.
+// generation exactly once each, a dead worker homes no key, and a
+// resurrected one homes keys again.
 func TestRegistryGenerationsAndRingCache(t *testing.T) {
+	keys := campaignKeys(t)
 	r := NewRegistry([]string{"http://a", "http://b", "http://c"})
 	if g := r.Generation(); g != 0 {
 		t.Fatalf("fresh registry at generation %d, want 0", g)
-	}
-	if r1, r2 := r.Ring(), r.Ring(); r1 != r2 {
-		t.Error("ring was rebuilt with no membership change")
 	}
 	if len(r.Live()) != 3 {
 		t.Fatalf("live = %d, want all 3 (optimistic start)", len(r.Live()))
@@ -38,27 +36,29 @@ func TestRegistryGenerationsAndRingCache(t *testing.T) {
 	if g := r.Generation(); g != 1 {
 		t.Errorf("generation = %d after re-marking a dead worker, want still 1", g)
 	}
-	ring := r.Ring()
-	for _, k := range keys(200) {
-		if ring.Lookup(k, 1)[0] == w {
-			t.Fatalf("dead worker %s still owns key %q", w.URL, k)
-		}
+	if n := homeCounts(r, keys)[w.URL]; n != 0 {
+		t.Fatalf("dead worker %s still homes %d keys", w.URL, n)
 	}
 
 	r.MarkLive(w)
 	if g := r.Generation(); g != 2 {
 		t.Errorf("generation = %d after resurrection, want 2", g)
 	}
-	owns := false
-	ring = r.Ring()
-	for _, k := range keys(200) {
-		if ring.Lookup(k, 1)[0] == w {
-			owns = true
-			break
-		}
+	if homeCounts(r, keys)[w.URL] == 0 {
+		t.Error("resurrected worker homes no keys")
 	}
-	if !owns {
-		t.Error("resurrected worker owns no keys")
+}
+
+// TestNewRegistryOneWorkerPerURL: a URL listed twice is one worker,
+// registered where it first appears.
+func TestNewRegistryOneWorkerPerURL(t *testing.T) {
+	r := NewRegistry([]string{"http://a", "http://a", "http://b"})
+	var got []string
+	for _, w := range r.Workers() {
+		got = append(got, w.URL)
+	}
+	if len(got) != 2 || got[0] != "http://a" || got[1] != "http://b" {
+		t.Errorf("workers = %v, want [http://a http://b]", got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSpecKeyGolden pins the key bytes of the default spec. Store
-// addresses, journal frames, wire keys and ring placement all derive
+// addresses, journal frames, wire keys and worker placement all derive
 // from them, so a store written by an earlier build must still hit: a
 // change here is a deliberate cache break and bumps SchemaVersion.
 func TestSpecKeyGolden(t *testing.T) {

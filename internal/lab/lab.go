@@ -40,10 +40,10 @@ type Lab struct {
 	// Backend, when non-nil, replaces local simulation: a fresh result
 	// (memo miss, store miss) is acquired by calling it instead of
 	// Spec.SimulateContext. This is the one seam for remote execution:
-	// under -server, cliflags.Wire installs serve.Client.Run, which has
-	// exactly this signature, so wishbench and wishtune run against a
-	// wishsimd daemon or cluster coordinator through the same lab; a
-	// coordinator's own lab installs cluster.Coordinator.Run here.
+	// under -server, cliflags.Wire installs one over serve.Client.Run,
+	// which has exactly this signature, so wishbench and wishtune run
+	// against a wishsimd daemon or cluster coordinator through the same
+	// lab; a coordinator's own lab installs cluster.Coordinator.Run here.
 	// Store and memo behaviour are unchanged — backend results are
 	// persisted like local ones, so a remote campaign still warms the
 	// local store, and a backend error is memoized like a local

@@ -92,8 +92,8 @@ func (s Spec) Hash() string { return s.Keyed().Hash }
 
 // Keyed pairs a Spec with its cache key and content hash. Hot paths
 // (Lab, serve, cluster) build a Keyed once per item and thread it
-// through, so a memo probe, a store lookup and a ring placement of one
-// campaign item share one key cache lookup.
+// through, so a memo probe, a store lookup and a worker placement of
+// one campaign item share one key cache lookup.
 type Keyed struct {
 	Spec Spec
 	Key  string
@@ -183,12 +183,13 @@ func (s Spec) key() string {
 	return b.String()
 }
 
-// KeyHash maps a cache key (or any ring label) to a uint64 ring
-// position. It is the sharding hash of internal/cluster: a coordinator
-// consistent-hashes Spec.Key() onto a ring of workers so every key has
-// one home worker whose memo table and store stay hot for it. The
-// definition lives next to Key so the cache key and the sharding hash
-// evolve together — FNV-1a over the exact bytes the key is made of.
+// KeyHash maps a cache key (or a worker URL) to a uint64. It is the
+// sharding hash of internal/cluster: a coordinator ranks the live
+// workers for each Spec.Key() by rendezvous hashing over the KeyHash of
+// the key and of each worker's URL, so every key has one home worker
+// whose memo table and store stay hot for it. The definition lives
+// next to Key so the cache key and the sharding hash evolve together —
+// FNV-1a over the exact bytes the key is made of.
 func KeyHash(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key)) //nolint:errcheck // fnv never fails

@@ -181,10 +181,10 @@ func TestSpecHashShape(t *testing.T) {
 	}
 }
 
-// TestKeyHashStableAndDistinct pins the sharding hash: the ring
-// position of a key must never drift between builds (a drift would
-// silently re-home every shard and cold every worker cache), and
-// distinct keys must not trivially collide.
+// TestKeyHashStableAndDistinct pins the sharding hash: a key's hash
+// must never drift between builds (a drift would silently re-home most
+// keys and cold every worker cache), and distinct keys must not
+// trivially collide.
 func TestKeyHashStableAndDistinct(t *testing.T) {
 	// FNV-1a of "wish" — a frozen reference value. If this changes,
 	// the cluster's key→worker assignment changes with it; that is a
@@ -196,7 +196,7 @@ func TestKeyHashStableAndDistinct(t *testing.T) {
 	b := testSpec()
 	b.Scale = 0.5
 	if KeyHash(a.Key()) == KeyHash(b.Key()) {
-		t.Error("distinct spec keys hashed to the same ring position")
+		t.Error("distinct spec keys hashed to the same value")
 	}
 	if KeyHash(a.Key()) != KeyHash(a.Key()) {
 		t.Error("KeyHash is not a pure function")

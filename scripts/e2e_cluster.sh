@@ -4,7 +4,9 @@
 # campaign through `wishbench -server <coordinator>`, and assert
 #
 #   1. cluster stdout is byte-identical to a local (in-process) run,
-#   2. the coordinator actually sharded (every worker saw requests),
+#   2. the coordinator sharded evenly: after the first cluster run each
+#      worker has simulated at least 5 of the campaign's 45 runs
+#      (lab.fresh in its /metrics),
 #   3. the coordinator negotiates encodings like a worker: the v1
 #      fixture run and campaign requests sent with the binary Accept
 #      headers come back as the binary result and the campaign stream,
@@ -63,13 +65,13 @@ wait_healthy() {
   done
 }
 
-metric() { # metric FIELD — integer field from coordinator /metrics
+metric() { # metric FIELD [URL] — integer field (a path like lab.fresh) from URL's /metrics, the coordinator's by default
   local json field=$1
-  json=$(curl -fsS "$COORD/metrics")
+  json=$(curl -fsS "${2:-$COORD}/metrics")
   if command -v jq >/dev/null 2>&1; then
     printf '%s' "$json" | jq -r ".$field"
   else
-    printf '%s' "$json" | grep -o "\"$field\":[0-9]*" | head -1 | cut -d: -f2
+    printf '%s' "$json" | grep -o "\"${field##*.}\":[0-9]*" | head -1 | cut -d: -f2
   fi
 }
 
@@ -125,11 +127,15 @@ cmp "$WORK/local.out" "$WORK/cluster.out" \
   || fail "cluster stdout differs from the local run"
 echo "cluster run is byte-identical to the local run"
 
+# Rendezvous hashing homes about a third of the runs on each worker; a
+# worker under 5 of 45 means placement piled its shard onto the others.
+FRESH=()
 for i in 0 1 2; do
-  grep -q '"run"' <(curl -fsS "${WORKER_URLS[$i]}/metrics") \
-    || fail "worker $i saw no /v1/run traffic — campaign was not sharded"
+  FRESH[$i]=$(metric lab.fresh "${WORKER_URLS[$i]}")
+  [[ "${FRESH[$i]}" -ge 5 ]] \
+    || fail "worker $i simulated ${FRESH[$i]} runs of the campaign, want at least 5 — shards are skewed"
 done
-echo "all 3 workers served shards"
+echo "workers simulated ${FRESH[0]} / ${FRESH[1]} / ${FRESH[2]} runs"
 
 echo "== negotiation: v1 fixtures with binary Accept headers =="
 GOT=$(post /v1/run "application/x-wishbranch-result, application/json" \

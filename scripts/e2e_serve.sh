@@ -10,10 +10,14 @@
 #      remotely as locally (the export reads the rendered results and
 #      sends no second batch, which the daemon's admission limit would
 #      reject),
-#   4. SIGTERM drains cleanly and the daemon exits 0.
+#   4. SIGTERM drains cleanly and the daemon exits 0,
+#   5. the same campaign against the stopped daemon's URL, at -j 1,
+#      exits 1 within 20 s: once one run's retries end in a transport
+#      error the rest fail at once, rather than one retry ladder
+#      (about 1.5 s) per spec.
 #
-# Runnable locally (./scripts/e2e_serve.sh) and from CI. Needs curl;
-# uses jq when present and a grep fallback when not.
+# Runnable locally (./scripts/e2e_serve.sh) and from CI. Needs curl and
+# timeout; uses jq when present and a grep fallback when not.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -106,5 +110,13 @@ wait "$DAEMON_PID" || STATUS=$?
 grep -q "drained cleanly" "$WORK/daemon.log" \
   || fail "daemon log is missing the clean-drain line"
 DAEMON_PID=
+
+echo "== dead server: the campaign fails fast =="
+STATUS=0
+timeout 20 "$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -server "$URL" -j 1 \
+  >/dev/null 2>"$WORK/dead.err" || STATUS=$?
+[[ $STATUS -eq 1 ]] \
+  || fail "campaign against the stopped daemon exited $STATUS, want 1 within 20 s (124 = timed out): $(tail -3 "$WORK/dead.err")"
+echo "campaign against the stopped daemon exited 1 in time"
 
 echo "e2e_serve: PASS"
