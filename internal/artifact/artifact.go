@@ -38,6 +38,7 @@ package artifact
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"wishbranch/internal/compiler"
@@ -66,6 +67,16 @@ type Key struct {
 type Artifact struct {
 	Prog *prog.Program
 	Mem  workload.MemInit
+	// Code is the artifact's code identity: the first program of the
+	// same workload build whose Code and Entry equal Prog's, compared
+	// instruction by instruction (a fingerprint collision would hand
+	// one binary's results to another). Artifacts with equal Code run
+	// the same instructions over the same data image, so two variants
+	// or threshold pairs that compile alike simulate alike; equal code
+	// built at another scale is another build and another identity.
+	// Prog stays each artifact's own program: static statistics and
+	// disassembly read its labels and block starts.
+	Code *prog.Program
 
 	// fp is the program fingerprint taken at construction, before the
 	// artifact was ever shared. Verify re-derives it to prove no
@@ -88,6 +99,23 @@ type source struct {
 
 	imgOnce sync.Once
 	img     *emu.Image
+
+	codeMu sync.Mutex
+	codes  []*prog.Program // the build's distinct programs, first compiled first
+}
+
+// intern returns the first program of the build whose code and entry
+// equal p's, recording p if it is the first.
+func (s *source) intern(p *prog.Program) *prog.Program {
+	s.codeMu.Lock()
+	defer s.codeMu.Unlock()
+	for _, q := range s.codes {
+		if q.Entry == p.Entry && slices.Equal(q.Code, p.Code) {
+			return q
+		}
+	}
+	s.codes = append(s.codes, p)
+	return p
 }
 
 // image returns the frozen data image, building it on first use.
@@ -150,7 +178,7 @@ func build(k Key) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Artifact{Prog: p, Mem: s.share, fp: Fingerprint(p), src: s}, nil
+	return &Artifact{Prog: p, Mem: s.share, Code: s.intern(p), fp: Fingerprint(p), src: s}, nil
 }
 
 func buildSource(k srcKey) (*source, error) {

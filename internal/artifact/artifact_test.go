@@ -295,3 +295,33 @@ func TestArtifactImageSharedAndLazy(t *testing.T) {
 		t.Errorf("the shared mcf image shows %d bytes, want its multi-megabyte data set", m.Footprint())
 	}
 }
+
+// TestArtifactCodeIdentity: artifacts of one workload build that
+// compile to equal code share a code identity (vpr's normal and
+// BASE-DEF binaries are the same code), each keeps its own program, and
+// the same code built at another scale is another identity.
+func TestArtifactCodeIdentity(t *testing.T) {
+	Reset()
+	get := func(v compiler.Variant, scale float64) *Artifact {
+		k := testKey(v)
+		k.Bench, k.Scale = "vpr", scale
+		a, err := Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	normal, def, all := get(compiler.NormalBranch, 0.05), get(compiler.BaseDef, 0.05), get(compiler.BaseMax, 0.05)
+	if normal.Code != normal.Prog || def.Code != normal.Code {
+		t.Fatal("equal code of one build has two code identities")
+	}
+	if def.Prog == normal.Prog {
+		t.Error("an interned artifact lost its own program")
+	}
+	if all.Code == normal.Code {
+		t.Error("different code shares a code identity")
+	}
+	if other := get(compiler.NormalBranch, 0.02); other.Code == normal.Code {
+		t.Error("equal code built at two scales shares a code identity")
+	}
+}

@@ -6,6 +6,8 @@ package config
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
 	"wishbranch/internal/bpred"
 	"wishbranch/internal/cache"
@@ -140,6 +142,52 @@ func (m *Machine) WithSelectUop() *Machine {
 	c.PredMech = SelectUop
 	c.Name = c.Name + "-seluop"
 	return &c
+}
+
+// Label names the machine for people: its Name, then "+Field" (a set
+// flag) or "+Field=value" for every field that differs from
+// DefaultMachine and that the name does not already say, with nested
+// fields as paths: "base-512-d30+NoPredDepend", "+JRS.Threshold=4".
+// Field names are the ones a spec's JSON uses. The names WithWindow,
+// WithDepth and WithSelectUop give say the window, the depth and the
+// select-µop mechanism. The label is derived rather than stored
+// because Name is part of every result key: renaming a machine would
+// move its key.
+func (m *Machine) Label() string {
+	said := DefaultMachine()
+	said.Name = m.Name
+	if strings.HasPrefix(m.Name, nameSize(m)) {
+		said.ROBSize, said.FrontEndDepth = m.ROBSize, m.FrontEndDepth
+	}
+	if strings.HasSuffix(m.Name, "-seluop") {
+		said.PredMech = SelectUop
+	}
+	var b strings.Builder
+	b.WriteString(m.Name)
+	labelDiff(&b, "", reflect.ValueOf(*m), reflect.ValueOf(*said))
+	return b.String()
+}
+
+// labelDiff appends a label term for every leaf field of v that
+// differs from ref; path is v's field path.
+func labelDiff(b *strings.Builder, path string, v, ref reflect.Value) {
+	if v.Equal(ref) {
+		return
+	}
+	if v.Kind() != reflect.Struct {
+		b.WriteString("+" + path)
+		if v.Kind() != reflect.Bool || !v.Bool() {
+			fmt.Fprintf(b, "=%v", v.Interface())
+		}
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if path != "" {
+			name = path + "." + name
+		}
+		labelDiff(b, name, v.Field(i), ref.Field(i))
+	}
 }
 
 func nameSize(c *Machine) string {

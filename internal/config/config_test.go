@@ -140,3 +140,31 @@ func TestPredMechString(t *testing.T) {
 		t.Error("PredMech names")
 	}
 }
+
+// TestLabel: a label is the name plus every difference from the
+// default machine that the name does not say.
+func TestLabel(t *testing.T) {
+	noDep := DefaultMachine()
+	noDep.NoPredDepend, noDep.NoFalseFetch = true, true
+	jrs := DefaultMachine().WithWindow(128)
+	jrs.JRS.HistoryBits, jrs.UseLoopPredictor = 16, true
+	resized := DefaultMachine()
+	resized.ROBSize = 256 // the name still says 512
+	unsel := DefaultMachine().WithSelectUop()
+	unsel.PredMech = CStyle // the name still says select-µops
+	for _, c := range []struct {
+		m    *Machine
+		want string
+	}{
+		{DefaultMachine(), "base-512-d30"},
+		{DefaultMachine().WithWindow(256).WithDepth(20).WithSelectUop(), "base-256-d20-seluop"},
+		{noDep, "base-512-d30+NoPredDepend+NoFalseFetch"},
+		{jrs, "base-128-d30+JRS.HistoryBits=16+UseLoopPredictor"},
+		{resized, "base-512-d30+ROBSize=256"},
+		{unsel, "base-512-d30-seluop+PredMech=c-style"},
+	} {
+		if got := c.m.Label(); got != c.want {
+			t.Errorf("Label() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -17,7 +17,11 @@ import (
 // not acquire a single further result. The lab's Backend answers every
 // spec with one real pre-simulated result, which passes snapshot
 // validation, so the test needs no campaign. It also pins each
-// experiment's number of distinct runs and the campaign's.
+// experiment's number of distinct runs and the campaign's, and how
+// many of the campaign's runs a Warm shares rather than simulates. A
+// declared run is acquired either fresh or as a shared twin of another
+// (lab.Lab.Warm), so both count: a render that read an undeclared twin
+// of a declared run would still be an acquisition after the Warm.
 func TestRunsCoverRender(t *testing.T) {
 	src := testLab(0.02)
 	res, err := src.Result("gzip", workload.InputA, compiler.WishJumpJoinLoop, config.DefaultMachine())
@@ -30,19 +34,23 @@ func TestRunsCoverRender(t *testing.T) {
 		"ext-loop-pred": 72, "ext-confidence": 126, "ext-thresholds": 63,
 		"tune-sens": 63, "obs-stalls": 27,
 	}
+	stub := func(context.Context, lab.Spec) (*cpu.Result, error) { return res, nil }
+	acquired := func(l *Lab) uint64 { c := l.Sched.Counters(); return c.Fresh + c.Shared }
 	campaign := map[string]bool{}
+	var all []lab.Spec
 	for _, e := range All() {
 		if e.Runs == nil {
 			continue
 		}
 		l := testLab(0.02)
-		l.Sched.Backend = func(context.Context, lab.Spec) (*cpu.Result, error) { return res, nil }
+		l.Sched.Backend = stub
 		specs := e.Runs(l)
 		for _, s := range specs {
 			campaign[s.Key()] = true
 		}
+		all = append(all, specs...)
 		l.Warm(specs)
-		warmed := l.Sched.Counters().Fresh
+		warmed := acquired(l)
 		if n, ok := want[e.ID]; !ok || warmed != n {
 			t.Errorf("%s declares %d distinct runs, want %d", e.ID, warmed, n)
 		}
@@ -50,8 +58,8 @@ func TestRunsCoverRender(t *testing.T) {
 		if err := e.Run(l, io.Discard); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if c := l.Sched.Counters(); c.Fresh != warmed || c.Errors != 0 {
-			t.Errorf("%s: render acquired %d runs it did not declare (%d errors)", e.ID, c.Fresh-warmed, c.Errors)
+		if n, errs := acquired(l), l.Sched.Counters().Errors; n != warmed || errs != 0 {
+			t.Errorf("%s: render acquired %d runs it did not declare (%d errors)", e.ID, n-warmed, errs)
 		}
 	}
 	for id := range want {
@@ -59,5 +67,12 @@ func TestRunsCoverRender(t *testing.T) {
 	}
 	if len(campaign) != 594 {
 		t.Errorf("campaign declares %d distinct runs, want 594", len(campaign))
+	}
+	l := testLab(0.02)
+	l.Sched.Backend = stub
+	l.Warm(all)
+	if c := l.Sched.Counters(); c.Fresh != 456 || c.Shared != 138 || c.Errors != 0 {
+		t.Errorf("the campaign's Warm ran %d and shared %d of its runs (%d errors), want 456 and 138",
+			c.Fresh, c.Shared, c.Errors)
 	}
 }

@@ -48,6 +48,19 @@ func FuzzTimingConformance(f *testing.F) {
 	})
 }
 
+// FuzzRunConformance checks the run-identity rule (cpu.Observed) on
+// the baseline machine: a field the rule resets for the program must
+// not move its result frame.
+func FuzzRunConformance(f *testing.F) {
+	fuzzSeeds(f)
+	o := &RunOracle{Machines: []*config.Machine{config.DefaultMachine()}}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		if err := o.Check(context.Background(), NewCase(seed)); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("run", seed))
+		}
+	})
+}
+
 // FuzzCodecConformance drives the JSON↔binary result differential from
 // the seed space: coverage feedback steers toward programs whose
 // results stress unusual codec shapes (deep branch tables, saturated

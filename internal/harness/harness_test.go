@@ -11,7 +11,9 @@ import (
 
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
+	"wishbranch/internal/cpu"
 	"wishbranch/internal/isa"
+	"wishbranch/internal/prog"
 	"wishbranch/internal/testutil"
 )
 
@@ -101,6 +103,36 @@ func TestCodecOracleCleanOnFreshSeeds(t *testing.T) {
 		if err := o.Check(context.Background(), c); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("codec", c.Seed))
 		}
+	}
+}
+
+// TestRunOracleCleanOnFreshSeeds: every machine field the run-identity
+// rule resets for a generated program leaves its result frame alone.
+func TestRunOracleCleanOnFreshSeeds(t *testing.T) {
+	o := &RunOracle{}
+	seeds := testutil.Seeds(t, 4, 2)
+	for seed := 0; seed < seeds; seed++ {
+		c := NewCase(uint64(9800 + seed))
+		if err := o.Check(context.Background(), c); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("run", c.Seed))
+		}
+	}
+}
+
+// TestRunOracleFailsAnUnsoundRule: a rule that resets the predication
+// mechanism even for programs with guarded instructions would let a
+// campaign hand a C-style result to a select-µop key. The oracle must
+// catch it on the first seed whose predicated binaries guard anything.
+func TestRunOracleFailsAnUnsoundRule(t *testing.T) {
+	unsound := func(m config.Machine, p *prog.Program) config.Machine {
+		m = cpu.Observed(m, p)
+		m.PredMech = config.CStyle
+		return m
+	}
+	o := &RunOracle{Machines: []*config.Machine{config.DefaultMachine()}, observed: unsound}
+	err := o.Check(context.Background(), NewCase(1))
+	if err == nil || !strings.Contains(err.Error(), "moving PredMech") {
+		t.Fatalf("unsound rule: oracle verdict %v, want a PredMech failure", err)
 	}
 }
 

@@ -19,6 +19,9 @@ package harness
 //     results, re-encoding is byte-stable, and the frame is exactly
 //     self-delimiting (differential JSON↔binary check over real
 //     simulator output, not hand-built fixtures).
+//   - run: the run-identity rule is sound — a machine field that
+//     cpu.Observed resets for a program does not change that program's
+//     result frame, so lab.Warm may simulate one key per run identity.
 //   - resume (resume.go): a campaign journal cut at a seed-derived byte
 //     offset recovers its longest valid prefix and resumes to a
 //     byte-identical journal — the crash-safety contract of
@@ -36,6 +39,7 @@ import (
 	"wishbranch/internal/emu"
 	"wishbranch/internal/isa"
 	"wishbranch/internal/lab"
+	"wishbranch/internal/prog"
 )
 
 // Run limits for generated programs, matching the per-package fuzz
@@ -350,6 +354,94 @@ func (o *CodecOracle) Check(ctx context.Context, c Case) error {
 	return nil
 }
 
+// RunOracle checks the rule lab.Warm groups a batch by: for every
+// variant of the generated program on every machine, each perturbation
+// of a field cpu.Observed may reset (the estimator geometry, threshold
+// and history, perfect confidence, the predication mechanism, both
+// predication oracles, and the name) that leaves the observed machine
+// unchanged must leave the result frame byte-identical too. A
+// perturbation the program observes is skipped: its result may move.
+type RunOracle struct {
+	Machines []*config.Machine // nil = ConformanceMachines()
+
+	// observed replaces cpu.Observed in tests, which check that the
+	// oracle fails an unsound rule.
+	observed func(config.Machine, *prog.Program) config.Machine
+}
+
+func (o *RunOracle) Name() string          { return "run" }
+func (o *RunOracle) SourceSensitive() bool { return true }
+
+// runPerturbations each move one field of the run-identity rule away
+// from the machine's value, to another valid one.
+var runPerturbations = []struct {
+	field string
+	move  func(m *config.Machine)
+}{
+	{"JRS geometry", func(m *config.Machine) { m.JRS.Entries, m.JRS.Ways = 2*m.JRS.Entries, 2 }},
+	{"JRS threshold", func(m *config.Machine) { m.JRS.Threshold = m.JRS.Threshold%15 + 1 }},
+	{"JRS history", func(m *config.Machine) { m.JRS.HistoryBits ^= 4 }},
+	{"PerfectConfidence", func(m *config.Machine) { m.PerfectConfidence = !m.PerfectConfidence }},
+	{"PredMech", func(m *config.Machine) { m.PredMech = config.SelectUop - m.PredMech }},
+	{"NoPredDepend", func(m *config.Machine) { m.NoPredDepend = !m.NoPredDepend }},
+	{"NoFalseFetch", func(m *config.Machine) { m.NoFalseFetch = !m.NoFalseFetch }},
+	{"Name", func(m *config.Machine) { m.Name += "-renamed" }},
+}
+
+func (o *RunOracle) Check(ctx context.Context, c Case) error {
+	machines := o.Machines
+	if machines == nil {
+		machines = ConformanceMachines()
+	}
+	observed := o.observed
+	if observed == nil {
+		observed = cpu.Observed
+	}
+	thr := compiler.DefaultThresholds()
+	frame := func(m *config.Machine, p *prog.Program) ([]byte, error) {
+		sim, err := cpu.New(m, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.Run(maxCPUCycles)
+		if err != nil {
+			return nil, err
+		}
+		return cpu.AppendResult(nil, res), nil
+	}
+	for _, v := range compiler.Variants() {
+		p, err := compiler.CompileOpt(c.Source, v, thr)
+		if err != nil {
+			return fmt.Errorf("compile %v: %w", v, err)
+		}
+		for ci, cfg := range machines {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			want, err := frame(cfg, p)
+			if err != nil {
+				return fmt.Errorf("%v cfg%d: %w", v, ci, err)
+			}
+			for _, pt := range runPerturbations {
+				m := *cfg
+				pt.move(&m)
+				if observed(m, p) != observed(*cfg, p) {
+					continue
+				}
+				got, err := frame(&m, p)
+				if err != nil {
+					return fmt.Errorf("%v cfg%d with %s moved: %w", v, ci, pt.field, err)
+				}
+				if string(got) != string(want) {
+					return fmt.Errorf("%v cfg%d: moving %s, which the program does not observe, changed its result frame",
+						v, ci, pt.field)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // OracleByName reconstructs an oracle from its Name() string — the
 // repro format stores only the name, so a replayed failure re-runs
 // under exactly the oracle (and kill-switch setting) that found it.
@@ -367,10 +459,12 @@ func OracleByName(name string) (Oracle, error) {
 		return &CodecOracle{}, nil
 	case "cluster":
 		return &ClusterOracle{}, nil
+	case "run":
+		return &RunOracle{}, nil
 	case "resume":
 		return &ResumeOracle{}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, timing, cache, codec, cluster, resume)", name)
+		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, timing, cache, codec, cluster, run, resume)", name)
 	}
 }
 
@@ -383,6 +477,7 @@ func DefaultOracles(killSwitch bool) []Oracle {
 		&CacheOracle{},
 		&CodecOracle{},
 		&ClusterOracle{},
+		&RunOracle{},
 		&ResumeOracle{},
 	}
 }

@@ -47,11 +47,15 @@ type Lab struct {
 	// Store and memo behaviour are unchanged — backend results are
 	// persisted like local ones, so a remote campaign still warms the
 	// local store, and a backend error is memoized like a local
-	// simulation failure unless it wraps ErrUnavailable.
+	// simulation failure unless it wraps ErrUnavailable. Warm still
+	// compiles each spec it has to acquire, to find its run identity,
+	// and calls the Backend once per identity: that assumes the
+	// Backend runs the same compiler and simulator as this process.
 	Backend func(context.Context, Spec) (*cpu.Result, error)
 	// OnResult, when non-nil, observes every result this process
-	// acquires — fresh simulation, store hit, or backend call — exactly
-	// once per key, before any waiter on that key is released. It is
+	// acquires — fresh simulation, store hit, backend call, or a result
+	// shared within a Warm batch — exactly once per key, before any
+	// waiter on that key is released. It is
 	// wishbench's campaign-journal hook (internal/journal.Attach):
 	// results are journaled before they are observable, so a crash can
 	// lose only work nobody has seen. Seeded entries (results replayed
@@ -81,6 +85,10 @@ type entry struct {
 type Counters struct {
 	// Fresh counts simulations actually executed by this process.
 	Fresh uint64
+	// Shared counts keys that took the result of another key of the
+	// same Warm batch with the same run identity instead of being
+	// simulated (Warm).
+	Shared uint64
 	// DiskHits counts results served from the persistent store.
 	DiskHits uint64
 	// MemHits counts repeat requests served from the in-memory table.
@@ -93,13 +101,15 @@ type Counters struct {
 	Canceled uint64
 }
 
-// Runs returns all completed acquisitions (fresh + disk hits).
-func (c Counters) Runs() uint64 { return c.Fresh + c.DiskHits }
+// Runs returns all completed acquisitions (fresh, shared and disk
+// hits).
+func (c Counters) Runs() uint64 { return c.Fresh + c.Shared + c.DiskHits }
 
-// HitRatio returns the fraction of successful acquisitions served from
-// a cache (memo table or store) rather than simulated fresh.
+// HitRatio returns the fraction of successful acquisitions served
+// without a simulation of their own (memo table, store, or a shared
+// run) rather than simulated fresh.
 func (c Counters) HitRatio() float64 {
-	hits := c.DiskHits + c.MemHits
+	hits := c.DiskHits + c.MemHits + c.Shared
 	total := hits + c.Fresh
 	if total == 0 {
 		return 0
@@ -155,16 +165,12 @@ func (l *Lab) ResultContext(ctx context.Context, s Spec) (*cpu.Result, error) {
 // ResultKeyed is ResultContext for callers that already computed the
 // spec's key and hash (serve request handlers, campaign warm-up): the
 // memo probe and the store address reuse the cached forms instead of
-// re-deriving them per lookup.
+// re-deriving them per lookup. It acquires k alone: only Warm shares
+// one simulation between keys.
 func (l *Lab) ResultKeyed(ctx context.Context, k Keyed) (*cpu.Result, error) {
 	for {
-		l.mu.Lock()
-		if l.entries == nil {
-			l.entries = make(map[string]*entry)
-		}
-		if e, ok := l.entries[k.Key]; ok {
-			l.c.MemHits++
-			l.mu.Unlock()
+		e, mine := l.claim(k)
+		if !mine {
 			select {
 			case <-e.done:
 			case <-ctx.Done():
@@ -175,35 +181,59 @@ func (l *Lab) ResultKeyed(ctx context.Context, k Keyed) (*cpu.Result, error) {
 			}
 			return e.res, e.err
 		}
-		e := &entry{done: make(chan struct{})}
-		l.entries[k.Key] = e
-		if l.started.IsZero() {
-			l.started = time.Now()
+		res := l.stored(k)
+		var err error
+		if res == nil {
+			res, err = l.fresh(ctx, k)
 		}
-		l.mu.Unlock()
-
-		e.res, e.err = l.produce(ctx, k)
-		switch {
-		case e.err == nil:
-		case isCancellation(e.err):
-			l.mu.Lock()
-			l.c.Canceled++
-			delete(l.entries, k.Key)
-			l.mu.Unlock()
-			e.removed = true
-		case errors.Is(e.err, ErrUnavailable):
-			l.mu.Lock()
-			delete(l.entries, k.Key)
-			l.mu.Unlock()
-		}
-		if e.err == nil && l.OnResult != nil {
-			// Before close(done): the result is journaled (or otherwise
-			// observed) before any waiter can act on it.
-			l.OnResult(k, e.res)
-		}
-		close(e.done)
-		return e.res, e.err
+		l.settle(k, e, res, err)
+		return res, err
 	}
+}
+
+// claim returns k's memo entry. mine reports a new entry, which the
+// caller must settle; an existing one is a memo hit.
+func (l *Lab) claim(k Keyed) (e *entry, mine bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.entries == nil {
+		l.entries = make(map[string]*entry)
+	}
+	if e, ok := l.entries[k.Key]; ok {
+		l.c.MemHits++
+		return e, false
+	}
+	e = &entry{done: make(chan struct{})}
+	l.entries[k.Key] = e
+	if l.started.IsZero() {
+		l.started = time.Now()
+	}
+	return e, true
+}
+
+// settle publishes the outcome of a claimed entry and releases its
+// waiters. A cancelled or unavailable outcome is not memoized.
+func (l *Lab) settle(k Keyed, e *entry, res *cpu.Result, err error) {
+	e.res, e.err = res, err
+	switch {
+	case err == nil:
+	case isCancellation(err):
+		l.mu.Lock()
+		l.c.Canceled++
+		delete(l.entries, k.Key)
+		l.mu.Unlock()
+		e.removed = true
+	case errors.Is(err, ErrUnavailable):
+		l.mu.Lock()
+		delete(l.entries, k.Key)
+		l.mu.Unlock()
+	}
+	if err == nil && l.OnResult != nil {
+		// Before close(done): the result is journaled (or otherwise
+		// observed) before any waiter can act on it.
+		l.OnResult(k, res)
+	}
+	close(e.done)
 }
 
 // Seed pre-populates the memo table with a completed result — the
@@ -232,17 +262,22 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// produce fills one entry: store lookup, then simulation (persisting
-// the fresh result). Store write failures are reported on Log but do
-// not fail the run — the result is still returned.
-func (l *Lab) produce(ctx context.Context, k Keyed) (*cpu.Result, error) {
-	s := k.Spec
-	if l.Store != nil {
-		if r := l.Store.GetHashed(k.Key, k.Hash); r != nil {
-			l.note(s, r, 0, &l.c.DiskHits, "hit")
-			return r, nil
-		}
+// stored returns k's result from the store, or nil on a miss.
+func (l *Lab) stored(k Keyed) *cpu.Result {
+	if l.Store == nil {
+		return nil
 	}
+	r := l.Store.GetHashed(k.Key, k.Hash)
+	if r != nil {
+		l.note(k.Spec, r, 0, &l.c.DiskHits, "hit")
+	}
+	return r
+}
+
+// fresh acquires k (Backend or local simulation) and persists the
+// result.
+func (l *Lab) fresh(ctx context.Context, k Keyed) (*cpu.Result, error) {
+	s := k.Spec
 	l.mu.Lock()
 	l.running++
 	l.mu.Unlock()
@@ -260,31 +295,40 @@ func (l *Lab) produce(ctx context.Context, k Keyed) (*cpu.Result, error) {
 		}
 		return nil, err
 	}
-	if l.Store != nil {
-		if perr := l.Store.PutHashed(k.Key, k.Hash, res); perr != nil && l.Log != nil {
-			l.mu.Lock()
-			fmt.Fprintf(l.Log, "lab: %v (result kept in memory)\n", perr)
-			l.mu.Unlock()
-		}
-	}
+	l.put(k, res)
 	l.note(s, res, simTime, &l.c.Fresh, "ran")
 	return res, nil
 }
 
-// acquire runs the Backend, or simulates locally without one. A panic
-// in either becomes this key's error: one poison spec fails its own
-// item instead of killing the process or orphaning the memo entry its
-// waiters block on.
+// put persists a result under k. A store write failure is reported on
+// Log but does not fail the run: the result is still returned.
+func (l *Lab) put(k Keyed, res *cpu.Result) {
+	if l.Store == nil {
+		return
+	}
+	if err := l.Store.PutHashed(k.Key, k.Hash, res); err != nil && l.Log != nil {
+		l.mu.Lock()
+		fmt.Fprintf(l.Log, "lab: %v (result kept in memory)\n", err)
+		l.mu.Unlock()
+	}
+}
+
+// acquire runs the Backend, or simulates locally without one.
 func (l *Lab) acquire(ctx context.Context, s Spec) (res *cpu.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("lab: %s: panic: %v", s, p)
-		}
-	}()
+	defer contain(s, &err)
 	if l.Backend != nil {
 		return l.Backend(ctx, s)
 	}
 	return s.SimulateContext(ctx)
+}
+
+// contain, deferred, turns a panic into s's error: one poison spec
+// fails its own item instead of killing the process or orphaning the
+// memo entry its waiters block on. acquire and runIdentity share it.
+func contain(s Spec, err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("lab: %s: panic: %v", s, p)
+	}
 }
 
 // note bumps a counter and emits one progress line. simTime is the
@@ -305,8 +349,8 @@ func (l *Lab) note(s Spec, r *cpu.Result, simTime time.Duration, counter *uint64
 	if elapsed > 0 {
 		rate = float64(c.Runs()) / elapsed
 	}
-	fmt.Fprintf(l.Log, "[%d runs (%d fresh, %d cached), %.1f sims/s] %s %-40s %10d cycles  %.2f µPC  %s\n",
-		c.Runs(), c.Fresh, c.DiskHits, rate, verb, s.String(), r.Cycles, r.UPC(),
+	fmt.Fprintf(l.Log, "[%d runs (%d fresh, %d shared, %d cached), %.1f sims/s] %s %-40s %10d cycles  %.2f µPC  %s\n",
+		c.Runs(), c.Fresh, c.Shared, c.DiskHits, rate, verb, s.String(), r.Cycles, r.UPC(),
 		simTime.Round(time.Millisecond))
 }
 
@@ -315,8 +359,8 @@ func (l *Lab) Summary() string {
 	l.mu.Lock()
 	c, started := l.c, l.started
 	l.mu.Unlock()
-	line := fmt.Sprintf("%d fresh simulations, %d store hits, %d memo hits, %d errors",
-		c.Fresh, c.DiskHits, c.MemHits, c.Errors)
+	line := fmt.Sprintf("%d fresh simulations, %d shared, %d store hits, %d memo hits, %d errors",
+		c.Fresh, c.Shared, c.DiskHits, c.MemHits, c.Errors)
 	if !started.IsZero() && c.Fresh > 0 {
 		if secs := time.Since(started).Seconds(); secs > 0 {
 			line += fmt.Sprintf(", %.2f sims/s", float64(c.Fresh)/secs)
@@ -326,10 +370,20 @@ func (l *Lab) Summary() string {
 }
 
 // Warm acquires every spec in the batch, de-duplicated, across the
-// worker pool. Individual simulation failures are recorded (and
-// memoized) but not returned: the serial render pass that follows
-// re-requests the same keys and surfaces the error with full context.
-// Warm returns once every spec has been attempted.
+// worker pool, and simulates each distinct run once. Keys that miss
+// both the memo table and the store are grouped by run identity
+// (runIdentity); the first key of each group in batch order is
+// acquired as ResultKeyed would, and every other key of the group then
+// takes its result: a memo entry, a store record and an OnResult call
+// of its own, counted as Shared. Batch order, not arrival order, picks
+// the owner, so the keys a Backend is sent depend only on the batch.
+// Only a successful result is shared: the followers of a failed owner
+// are acquired on their own.
+//
+// Individual simulation failures are recorded (and memoized) but not
+// returned: the serial render pass that follows re-requests the same
+// keys and surfaces the error with full context. Warm returns once
+// every spec has been attempted.
 func (l *Lab) Warm(specs []Spec) {
 	seen := make(map[string]bool, len(specs))
 	uniq := make([]Keyed, 0, len(specs))
@@ -342,30 +396,118 @@ func (l *Lab) Warm(specs []Spec) {
 			uniq = append(uniq, k)
 		}
 	}
-	n := l.workers()
-	if n > len(uniq) {
-		n = len(uniq)
-	}
 	ctx := context.Background()
-	if n <= 1 {
-		for _, k := range uniq {
-			l.ResultKeyed(ctx, k) //nolint:errcheck // memoized; re-surfaced by the render pass
+	n := l.workers()
+
+	// Memo and store first, across the pool: only the keys that miss
+	// both need a run identity, so warming from a full store builds no
+	// artifact. Entries another caller holds are waited for last, so
+	// two overlapping batches cannot wait on each other's claims.
+	claimed := make([]*entry, len(uniq))
+	held := make([]*entry, len(uniq))
+	forEach(n, len(uniq), func(i int) {
+		e, mine := l.claim(uniq[i])
+		if !mine {
+			held[i] = e
+			return
+		}
+		if r := l.stored(uniq[i]); r != nil {
+			l.settle(uniq[i], e, r, nil)
+			return
+		}
+		claimed[i] = e
+	})
+
+	// Group the misses in batch order. A spec with no identity is a
+	// group of its own.
+	var groups []*group
+	byID := make(map[runID]*group)
+	for i, e := range claimed {
+		if e == nil {
+			continue
+		}
+		m := member{uniq[i], e}
+		id, ok, err := runIdentity(m.k.Spec)
+		switch {
+		case err != nil:
+			l.mu.Lock()
+			l.c.Errors++
+			l.mu.Unlock()
+			l.settle(m.k, e, nil, err)
+		case !ok:
+			groups = append(groups, &group{owner: m})
+		case byID[id] != nil:
+			byID[id].followers = append(byID[id].followers, m)
+		default:
+			byID[id] = &group{owner: m}
+			groups = append(groups, byID[id])
+		}
+	}
+	forEach(n, len(groups), func(i int) { l.acquireGroup(ctx, groups[i]) })
+
+	for i, e := range held {
+		if e == nil {
+			continue
+		}
+		if <-e.done; e.removed {
+			l.ResultKeyed(ctx, uniq[i]) //nolint:errcheck // memoized; re-surfaced by the render pass
+		}
+	}
+}
+
+// member is one claimed key of a Warm batch.
+type member struct {
+	k Keyed
+	e *entry
+}
+
+// group is a run identity's keys in a Warm batch: the first in batch
+// order, which is acquired, and the rest, which take its result.
+type group struct {
+	owner     member
+	followers []member
+}
+
+// acquireGroup acquires a group's owner and settles every key of the
+// group.
+func (l *Lab) acquireGroup(ctx context.Context, g *group) {
+	res, err := l.fresh(ctx, g.owner.k)
+	l.settle(g.owner.k, g.owner.e, res, err)
+	for _, f := range g.followers {
+		if err != nil {
+			res, err := l.fresh(ctx, f.k)
+			l.settle(f.k, f.e, res, err)
+			continue
+		}
+		l.put(f.k, res)
+		l.note(f.k.Spec, res, 0, &l.c.Shared, "shared")
+		l.settle(f.k, f.e, res, nil)
+	}
+}
+
+// forEach calls f(0) … f(n-1) across at most workers goroutines,
+// handing out indices in order.
+func forEach(workers, n int, f func(int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 		return
 	}
-	ch := make(chan Keyed)
+	ch := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range ch {
-				l.ResultKeyed(ctx, k) //nolint:errcheck // see above
+			for i := range ch {
+				f(i)
 			}
 		}()
 	}
-	for _, k := range uniq {
-		ch <- k
+	for i := 0; i < n; i++ {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()

@@ -218,7 +218,7 @@ func TestLabProgressLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"1 runs (1 fresh, 0 cached)", "sims/s", "ran", "gzip", "cycles"} {
+	for _, want := range []string{"1 runs (1 fresh, 0 shared, 0 cached)", "sims/s", "ran", "gzip", "cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress line missing %q:\n%s", want, out)
 		}

@@ -8,7 +8,8 @@
 //	Spec (what to simulate)
 //	  → Key (a complete, versioned signature of everything that
 //	         affects simulation behaviour)
-//	  → Lab (singleflight scheduler: memory cache → store → simulate)
+//	  → Lab (singleflight scheduler: memory cache → store → simulate;
+//	         Warm simulates one key per run identity and shares it)
 //	  → Store (atomic on-disk records keyed by SHA-256 of the Key)
 //
 // Aggregation stays in the caller: experiments warm their run-set with
@@ -31,6 +32,7 @@ import (
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
 	"wishbranch/internal/obs"
+	"wishbranch/internal/prog"
 	"wishbranch/internal/workload"
 )
 
@@ -227,13 +229,7 @@ func (s Spec) simulate(ctx context.Context, attach func(*cpu.CPU)) (*cpu.Result,
 	// program (immutable — see package artifact's audit tests), and
 	// every run of the workload shares one copy-on-write data image
 	// instead of re-synthesizing it.
-	art, err := artifact.Get(artifact.Key{
-		Bench:      s.Bench,
-		Input:      s.Input,
-		Variant:    s.Variant,
-		Scale:      s.Scale,
-		Thresholds: s.Thresholds,
-	})
+	art, err := artifact.Get(s.artifactKey())
 	if err != nil {
 		return nil, err
 	}
@@ -251,21 +247,54 @@ func (s Spec) simulate(ctx context.Context, attach func(*cpu.CPU)) (*cpu.Result,
 	return res, nil
 }
 
+func (s Spec) artifactKey() artifact.Key {
+	return artifact.Key{Bench: s.Bench, Input: s.Input, Variant: s.Variant, Scale: s.Scale, Thresholds: s.Thresholds}
+}
+
+// runID is a run identity. Keys with equal run identities simulate to
+// byte-identical results, so a Warm batch simulates one key of each
+// (DESIGN.md §8). It has four parts: the workload build and the
+// compiled code, both named by the artifact's interned program (one
+// per distinct code per build); the machine with every field that code
+// cannot observe reset (cpu.Observed); and the cycle bound.
+type runID struct {
+	code      *prog.Program
+	machine   config.Machine
+	maxCycles uint64
+}
+
+// runIdentity derives s's run identity. ok is false for a spec that is
+// ill-formed or whose workload does not build: it is acquired on its
+// own, and fails there with its own error. A panic while deriving is
+// s's error, as it would be in acquire.
+func runIdentity(s Spec) (id runID, ok bool, err error) {
+	defer contain(s, &err)
+	if s.Validate() != nil {
+		return runID{}, false, nil
+	}
+	art, aerr := artifact.Get(s.artifactKey())
+	if aerr != nil {
+		return runID{}, false, nil
+	}
+	return runID{art.Code, cpu.Observed(*s.Machine, art.Prog), s.MaxCycles}, true, nil
+}
+
 // Snapshot builds the machine-readable export record for a result of
-// this spec, labeled with the spec's identity.
+// this spec, labeled with the spec's identity and its machine's Label.
 func (s Spec) Snapshot(r *cpu.Result) *obs.Snapshot {
 	machine := "?"
 	if s.Machine != nil {
-		machine = s.Machine.Name
+		machine = s.Machine.Label()
 	}
 	return r.Snapshot(s.Bench, s.Input.String(), s.Variant.String(), machine)
 }
 
-// String is a short human-readable label for progress lines.
+// String is a short human-readable label for progress lines; the
+// machine is named by its Label.
 func (s Spec) String() string {
 	name := "?"
 	if s.Machine != nil {
-		name = s.Machine.Name
+		name = s.Machine.Label()
 	}
 	return fmt.Sprintf("%s/%v/%v/%s", s.Bench, s.Input, s.Variant, name)
 }
