@@ -102,6 +102,7 @@ func BenchmarkCampaignWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer st.Close()
 	warm := benchLab()
 	warm.Sched.Store = st
 	if err := exp.Run(e, warm, io.Discard); err != nil {

@@ -122,6 +122,9 @@ func main() {
 		t0 := time.Now()
 		res, err = l.Result(spec)
 		elapsed := time.Since(t0)
+		if l.Store != nil {
+			l.Store.Close()
+		}
 		if err != nil {
 			fail("run: %v", err)
 		}

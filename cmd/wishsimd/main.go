@@ -13,10 +13,11 @@
 //	wishsimd -drain-timeout 2m              # SIGTERM drain budget
 //	wishsimd -store-max-bytes 1073741824    # bound the store: LRU eviction at 1 GiB
 //
-// Crash safety is the store's: every fresh result is fsynced and
-// renamed into place before any response carries it, so a SIGKILLed
-// daemon restarted on the same -cache-dir answers everything it had
-// acknowledged from disk and re-simulates only what it had not. With
+// Crash safety is the store's: every fresh result is appended to the
+// store's segment file and fsynced before any response carries it, so
+// a SIGKILLed daemon restarted on the same -cache-dir answers
+// everything it had acknowledged from disk and re-simulates only what
+// it had not. With
 // -store-max-bytes, the store evicts least-recently-accessed records
 // past the bound (/metrics gains store_bytes and evictions); an
 // evicted result costs a restarted daemon a re-simulation, never a
@@ -117,6 +118,7 @@ func run() int {
 		store = lf.OpenStore("wishsimd")
 	}
 	if store != nil {
+		defer store.Close() // after the drain: serveUntilSignal returns once it is done
 		sched.Store = store
 		fmt.Fprintf(os.Stderr, "wishsimd: result store at %s\n", store.Dir())
 		if *storeMax > 0 {

@@ -19,8 +19,8 @@
 // CLI runs its specs through: a serve.Client installed as the lab's
 // Backend when -server is set, the -cache-dir store otherwise. The
 // store is also what a killed process resumes from: each result is
-// fsynced and renamed into place before anyone sees it, so a rerun
-// over the same -cache-dir re-simulates only what was missing.
+// appended to a segment file and fsynced before anyone sees it, so a
+// rerun over the same -cache-dir re-simulates only what was missing.
 package cliflags
 
 import (

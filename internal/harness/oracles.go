@@ -236,6 +236,7 @@ func (o *CacheOracle) Check(ctx context.Context, c Case) error {
 	if err != nil {
 		return fmt.Errorf("cache oracle setup: %w", err)
 	}
+	defer st.Close()
 	thr := compiler.DefaultThresholds()
 	cfg := config.DefaultMachine()
 	for _, v := range compiler.Variants() {

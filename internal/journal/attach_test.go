@@ -201,6 +201,7 @@ func TestAttachKeepsStoreBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if err := store.Put(keys[0], testResult(0)); err != nil {
 		t.Fatal(err)
 	}

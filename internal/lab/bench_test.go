@@ -21,14 +21,11 @@ func benchResult() *cpu.Result {
 }
 
 // BenchmarkStoreWarm measures the warm hit path a cached campaign
-// lives on: GetHashed with a precomputed hash against a binary record
-// already on disk. The file read dominates; allocations cover the read
-// buffer plus the decoded Result and its branch slice.
+// lives on: GetHashed against a frame already on disk, an index lookup
+// and one positioned read. Allocations cover the frame buffer plus the
+// decoded Result and its branch slice.
 func BenchmarkStoreWarm(b *testing.B) {
-	st, err := OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := openStore(b, b.TempDir())
 	k := testSpec().Keyed()
 	if err := st.PutHashed(k.Key, k.Hash, benchResult()); err != nil {
 		b.Fatal(err)
@@ -58,20 +55,31 @@ func BenchmarkSpecKeyed(b *testing.B) {
 
 var benchKeyed Keyed
 
-// BenchmarkStorePut measures the durable write path (temp file, fsync,
-// rename) — the cost a cold campaign pays once per fresh simulation.
+// BenchmarkStorePut measures the durable write path (one append of a
+// frame to the active segment, then fsync) — the cost a cold campaign
+// pays once per fresh simulation. The bounded case holds the store at
+// 20 records, so every put evicts one and rewrites the segment that
+// held it: the cost of a put under eviction pressure.
 func BenchmarkStorePut(b *testing.B) {
-	st, err := OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := benchResult()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("bench-put-%d", i)
-		if err := st.Put(key, r); err != nil {
-			b.Fatal(err)
-		}
+	for _, bound := range []int64{0, 20} {
+		b.Run(fmt.Sprintf("bound=%d", bound), func(b *testing.B) {
+			st := openStore(b, b.TempDir())
+			r := benchResult()
+			if err := st.Put("bench-put-size", r); err != nil {
+				b.Fatal(err)
+			}
+			_, _, size := frameOf(b, st, "bench-put-size")
+			if err := st.SetMaxBytes(bound * size); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := fmt.Sprintf("bench-put-%06d", i)
+				if err := st.Put(key, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -56,10 +56,7 @@ func TestLabConcurrentMixedSpecSingleflight(t *testing.T) {
 // only fresh simulation of a second campaign over the same store.
 func TestLabStoreWriteFailureKeepsResult(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
 	good, bad := cheapSpec(), cheapSpec()
 	bad.Variant = 2
 	badKey := bad.Key()
@@ -89,10 +86,7 @@ func TestLabStoreWriteFailureKeepsResult(t *testing.T) {
 
 	// A second campaign over the same store: only the unwritten key is
 	// re-simulated.
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
 	l2 := New()
 	l2.Store = st2
 	l2.Warm([]Spec{good, bad})
@@ -232,10 +226,7 @@ func TestLabWaiterOwnCancel(t *testing.T) {
 // written to the store like local ones, so a remote campaign still
 // warms the local cache.
 func TestLabBackendPersistsToStore(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	want := &cpu.Result{Cycles: 11, Halted: true}
 	l := New()
 	l.Store = st

@@ -23,8 +23,8 @@ func gcResult(i int) *cpu.Result {
 
 func gcKey(i int) string { return fmt.Sprintf("gc-key-%d", i) }
 
-// putN writes n records and returns the per-record on-disk size (all
-// records here encode to the same size).
+// putN writes n records and returns the per-record on-disk size, its
+// frame's (all records here encode to the same size).
 func putN(t *testing.T, st *Store, n int) int64 {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -32,18 +32,12 @@ func putN(t *testing.T, st *Store, n int) int64 {
 			t.Fatal(err)
 		}
 	}
-	fi, err := os.Stat(st.path(hashKey(gcKey(0))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
+	_, _, size := frameOf(t, st, gcKey(0))
+	return size
 }
 
 func TestStoreGCEvictsLRU(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	size := putN(t, st, 1)
 	// Bound: room for exactly 3 records.
 	if err := st.SetMaxBytes(3 * size); err != nil {
@@ -78,18 +72,31 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 }
 
 // TestStoreGCScanSeedsFromModTime: SetMaxBytes on a pre-populated store
-// learns existing sizes and evicts oldest-modified first.
+// learns existing sizes and evicts the oldest-written record first: by
+// segment modification time, then by offset within a segment.
 func TestStoreGCScanSeedsFromModTime(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	// Record 1 in a segment of its own, written by a store that has
+	// finished, and made clearly the oldest regardless of filesystem
+	// timestamp granularity.
+	first, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := putN(t, st, 3)
-	// Make record 1 clearly the oldest regardless of filesystem
-	// timestamp granularity.
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(st.path(hashKey(gcKey(1))), old, old); err != nil {
+	if err := first.Put(gcKey(1), gcResult(1)); err != nil {
 		t.Fatal(err)
+	}
+	oldSeg, _, size := frameOf(t, first, gcKey(1))
+	first.Close()
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(oldSeg, old, old); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	for _, i := range []int{0, 2} {
+		if err := st.Put(gcKey(i), gcResult(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.SetMaxBytes(2 * size); err != nil {
 		t.Fatal(err)
@@ -106,13 +113,21 @@ func TestStoreGCScanSeedsFromModTime(t *testing.T) {
 	if st.Bytes() != 2*size {
 		t.Errorf("Bytes = %d, want %d", st.Bytes(), 2*size)
 	}
+	if _, err := os.Stat(oldSeg); !os.IsNotExist(err) {
+		t.Errorf("the emptied segment of a finished writer was not unlinked: %v", err)
+	}
+
+	// Within one segment, the record at the lower offset is older.
+	if err := st.SetMaxBytes(size); err != nil {
+		t.Fatal(err)
+	}
+	if st.Get(gcKey(0)) != nil || st.Get(gcKey(2)) == nil {
+		t.Error("the later-written record was evicted instead of the earlier one")
+	}
 }
 
 func TestStoreGCDisable(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	size := putN(t, st, 2)
 	if err := st.SetMaxBytes(10 * size); err != nil {
 		t.Fatal(err)
@@ -137,10 +152,7 @@ func TestStoreGCDisable(t *testing.T) {
 // far too small for the campaign degrades the store to misses — every
 // result is still produced, still correct, and the campaign completes.
 func TestEvictionNeverBreaksCampaign(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	const n = 12
 	var calls atomic.Uint64
 	backend := func(_ context.Context, s Spec) (*cpu.Result, error) {
@@ -158,11 +170,8 @@ func TestEvictionNeverBreaksCampaign(t *testing.T) {
 	if err := st.Put(gcKey(0), gcResult(0)); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(st.path(hashKey(gcKey(0))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetMaxBytes(2 * fi.Size()); err != nil {
+	_, _, size := frameOf(t, st, gcKey(0))
+	if err := st.SetMaxBytes(2 * size); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,5 +213,82 @@ func TestEvictionNeverBreaksCampaign(t *testing.T) {
 	}
 	if got := l2.Counters(); got.Fresh+got.DiskHits != n {
 		t.Errorf("second pass: fresh+hits = %d, want %d", got.Fresh+got.DiskHits, n)
+	}
+}
+
+// TestStoreBoundHoldsOnDisk: under a 20-record bound, 500 puts never
+// leave more than the bound on disk — walked after every put — and
+// Bytes is what the walk finds. The 20 most recently written records
+// survive, and every other record was evicted once.
+func TestStoreBoundHoldsOnDisk(t *testing.T) {
+	const n = 500
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// The last record is the largest: its varints are the longest.
+	if err := st.Put(gcKey(n-1), gcResult(n-1)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, size := frameOf(t, st, gcKey(n-1))
+	if err := st.SetMaxBytes(20 * size); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := st.Put(gcKey(i), gcResult(i)); err != nil {
+			t.Fatal(err)
+		}
+		files, onDisk := schemaFiles(t, dir)
+		if onDisk > st.MaxBytes() || onDisk != st.Bytes() {
+			t.Fatalf("after put %d: %d bytes in %d files on disk, Bytes %d, bound %d",
+				i, onDisk, len(files), st.Bytes(), st.MaxBytes())
+		}
+	}
+	kept := 0
+	for i := 0; i < n; i++ {
+		if st.Get(gcKey(i)) != nil {
+			kept++
+		} else if i >= n-20 {
+			t.Errorf("record %d, among the last 20 written, was evicted", i)
+		}
+	}
+	if int(st.Evictions()) != n+1-kept { // the first record was put twice
+		t.Errorf("evictions = %d with %d of %d records kept", st.Evictions(), kept, n)
+	}
+}
+
+// TestStoreReclaimSkipsLiveWriter: a bounded store never unlinks a
+// segment another open store holds; its records are not victims. Once
+// that writer closes, the segment is fair game.
+func TestStoreReclaimSkipsLiveWriter(t *testing.T) {
+	dir := t.TempDir()
+	writer := openStore(t, dir)
+	size := putN(t, writer, 2)
+	held, _, _ := frameOf(t, writer, gcKey(0))
+
+	st := openStore(t, dir)
+	if err := st.Put(gcKey(2), gcResult(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMaxBytes(2 * size); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(held); err != nil {
+		t.Fatalf("a live writer's segment was unlinked: %v", err)
+	}
+	if st.Get(gcKey(0)) == nil || st.Get(gcKey(1)) == nil || st.Get(gcKey(2)) != nil {
+		t.Error("victims came from a live writer's segment instead of the store's own")
+	}
+
+	writer.Close()
+	if err := st.Put(gcKey(3), gcResult(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(held); !os.IsNotExist(err) {
+		t.Errorf("a finished writer's segment was kept past the bound: %v", err)
+	}
+	if files, onDisk := schemaFiles(t, dir); onDisk > st.MaxBytes() {
+		t.Errorf("%d bytes in %v on disk, bound %d", onDisk, files, st.MaxBytes())
+	}
+	if st.Get(gcKey(3)) == nil {
+		t.Error("the newest record was evicted")
 	}
 }

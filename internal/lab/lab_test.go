@@ -146,10 +146,7 @@ func TestLabContainsPanickingProducer(t *testing.T) {
 // simulations.
 func TestLabWarmStoreServesSecondCampaign(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, dir)
 	specs := []Spec{cheapSpec()}
 	{
 		s := cheapSpec()
@@ -165,10 +162,7 @@ func TestLabWarmStoreServesSecondCampaign(t *testing.T) {
 		t.Fatalf("cold campaign counters = %+v, want %d fresh", c, len(specs))
 	}
 
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t, dir)
 	l2 := New()
 	l2.Store = st2
 	l2.Warm(specs)

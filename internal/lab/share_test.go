@@ -26,10 +26,7 @@ func twin(s Spec, name string) Spec {
 // the second still gets its own memo entry, store record and OnResult
 // call.
 func TestWarmSharesOneRun(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	var log bytes.Buffer
 	var mu sync.Mutex
 	observed := map[string]*cpu.Result{}
@@ -131,10 +128,7 @@ func TestWarmFailedOwnerLeavesFollowerAlone(t *testing.T) {
 // only for keys that miss the store, so re-warming a filled store
 // compiles nothing.
 func TestWarmFromFullStoreBuildsNoArtifact(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir())
 	a := cheapSpec()
 	specs := []Spec{a, twin(a, "twin")}
 	fill := New()

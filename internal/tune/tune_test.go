@@ -235,7 +235,9 @@ func TestTuneWarmStoreRunsNothingFresh(t *testing.T) {
 		}
 		sched := lab.New()
 		sched.Store = store
-		if _, err := Tune(context.Background(), testOptions(sched)); err != nil {
+		_, err = Tune(context.Background(), testOptions(sched))
+		store.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 		c := sched.Counters()

@@ -230,8 +230,9 @@ echo "== part 3: SIGKILL the worker mid-campaign =="
 WBENCH_PID=$!
 disown "$WBENCH_PID"
 PIDS+=("$WBENCH_PID")
-# A fresh result is fsynced and renamed into the store before lab.fresh
-# counts it, so two counted runs are at least two durable records.
+# A fresh result is appended to the store's segment and fsynced before
+# lab.fresh counts it, so two counted runs are at least two durable
+# records.
 wait_fresh 2 "$SWORKER"
 kill -9 "$SWORKER_PID" "$WBENCH_PID" 2>/dev/null || true
 echo "worker SIGKILLed after at least 2 stored results"
