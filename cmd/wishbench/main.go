@@ -11,7 +11,6 @@
 //	wishbench -exp fig10,fig12        # specific experiments
 //	wishbench -exp all -j 8           # eight simulation workers
 //	wishbench -exp all -cache-dir ""  # no persistent result store
-//	wishbench -exp all -journal D     # crash-safe checkpoint/resume in D
 //	wishbench -list                   # list experiment IDs
 //	wishbench -scale 2.0 -exp fig2
 //	wishbench -exp fig10 -stats-out fig10.json  # machine-readable snapshots
@@ -22,9 +21,7 @@
 // identical and the output stays byte-identical either way.
 //
 // A killed campaign resumes from the result store: rerun the same
-// command and only the missing results simulate. -journal adds a
-// per-campaign checkpoint that also covers -cache-dir "" (DESIGN.md
-// §15); wishbench is the only command that has one.
+// command and only the missing results simulate (DESIGN.md §15).
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 
 	"wishbranch/internal/cliflags"
 	"wishbranch/internal/exp"
-	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/obs"
 	"wishbranch/internal/workload"
@@ -49,7 +45,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		scale    = flag.Float64("scale", 1.0, "workload size multiplier (1.0 = reduced-input default)")
 		statsOut = flag.String("stats-out", "", "write every campaign run's stats snapshot as a JSON array to this file")
-		jdir     = flag.String("journal", "", "campaign journal directory: crash-safe checkpoint/resume (empty = off)")
 	)
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	rf := cliflags.RegisterRemote(flag.CommandLine)
@@ -110,44 +105,6 @@ func main() {
 		}
 	}
 
-	// Crash-safe checkpoint/resume: the campaign's ordered unique key
-	// set identifies its journal file; replayed results seed the memo
-	// table so a killed campaign resumes with only its missing suffix
-	// re-simulated, and every new result is journaled (fsync'd) before
-	// it becomes observable. Output stays byte-identical to an
-	// uninterrupted run because rendering reads the same memo table
-	// either way.
-	var jnl *journal.Journal
-	if *jdir != "" {
-		seen := make(map[string]bool, len(specs))
-		var keys []string
-		for _, s := range specs {
-			k := s.Key()
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		jpath := journal.CampaignPath(*jdir, keys)
-		j, rep, err := journal.Open(jpath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wishbench: %v\n", err)
-			os.Exit(1)
-		}
-		jnl = j
-		if rep.Specs == nil {
-			if err := j.AppendSpecSet(keys); err != nil {
-				fmt.Fprintf(os.Stderr, "wishbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		resumed := journal.Attach(l.Sched, j, rep, keys, func(err error) {
-			fmt.Fprintf(os.Stderr, "wishbench: %v (campaign continues, not resumable past this point)\n", err)
-		})
-		fmt.Fprintf(os.Stderr, "wishbench: journal %s: resumed_frames=%d missing=%d\n",
-			jpath, resumed, len(keys)-resumed)
-	}
-
 	l.Warm(specs)
 
 	for _, e := range exps {
@@ -167,11 +124,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wishbench: campaign done in %v: %s\n",
 		time.Since(campaignStart).Round(time.Millisecond), l.Sched.Summary())
-	if jnl != nil {
-		frames, resumed := jnl.Stats()
-		fmt.Fprintf(os.Stderr, "wishbench: journal complete: frames=%d resumed_frames=%d\n", frames, resumed)
-		jnl.Close()
-	}
 
 	if *statsOut != "" {
 		if err := dumpSnapshots(*statsOut, l.Sched, specs); err != nil {

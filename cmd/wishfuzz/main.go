@@ -25,7 +25,7 @@
 // store), codec (binary vs JSON results), cluster (single node vs
 // coordinator+workers under seeded chaos), run (machine fields a
 // program cannot observe leave its result unchanged, the rule a
-// campaign shares simulations by), resume (a cut journal resumes).
+// campaign shares simulations by).
 // Exit codes: 0 clean (or replay reproduced), 1 conformance failure
 // found (or replay did not reproduce), 2 usage/infrastructure error.
 package main
@@ -53,7 +53,7 @@ func run() int {
 		seeds      = flag.Int("seeds", 0, "number of seeds to soak (0 = use -for)")
 		budget     = flag.Duration("for", 0, "wall-clock soak budget (alternative to -seeds)")
 		seedBase   = flag.Uint64("seed-base", 1, "first seed (replay hints use -seed-base N -seeds 1)")
-		oracleList = flag.String("oracles", "arch,timing,cache,codec,cluster,run,resume", "comma-separated oracle families")
+		oracleList = flag.String("oracles", "arch,timing,cache,codec,cluster,run", "comma-separated oracle families")
 		corpus     = flag.String("corpus", "", "repro/corpus directory (failures persist here and replay on startup)")
 		keepGoing  = flag.Bool("keep-going", false, "continue past failures instead of stopping at the first")
 		killSwitch = flag.Bool("kill-switch", false, "deliberately inject a guard-dropping miscompile (harness self-test; a clean run then means the harness is broken)")

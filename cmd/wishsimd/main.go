@@ -35,9 +35,9 @@
 // hold by routing the spec's cache key to its home worker, chosen by
 // rendezvous hashing over the live workers (keeping every worker's
 // memo table hot for its shard), with failover to the worker that
-// ranks next for the key (see internal/cluster). It keeps no store and
-// no journal: a restarted coordinator routes each key to the same home
-// worker, whose memo table and store answer what it had already run.
+// ranks next for the key (see internal/cluster). It keeps no store: a
+// restarted coordinator routes each key to the same home worker, whose
+// memo table and store answer what it had already run.
 // -queue and -max-timeout mean what they mean on a worker. -j is
 // different: a coordinator's routed runs execute on its workers, so
 // this host's CPU count says nothing about the fleet, and without -j

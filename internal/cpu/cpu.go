@@ -312,7 +312,7 @@ func (c *CPU) stepOrSkip(limit uint64) {
 	c.issue()
 	c.dispatch()
 	c.fetch()
-	c.account()
+	c.account(1)
 	c.cycle++
 }
 
@@ -395,50 +395,28 @@ func (c *CPU) shadowStuck() bool {
 	return pc < 0 || pc >= len(c.prog.Code)
 }
 
-// bulkAccount attributes n skipped cycles at once, choosing the same
-// bucket account() would have chosen for each of them: nothing retired
-// (acctRetired = 0), the head is not done, dispatch was blocked on
-// window space exactly when the front µop had reached its dispatch
-// cycle (acctFull), and every input to the decision tree is frozen for
-// the whole stretch.
-// Both partition identities are preserved exactly — the flush-recovery
-// charge goes to the same branch record, in the same amount, as n
-// single-cycle account() calls would post.
+// bulkAccount attributes n skipped cycles at once through account,
+// which then picks the same bucket for all of them as it would for
+// each: nothing retired, the head is not done, every input to the
+// decision tree is frozen for the whole stretch, and dispatch is
+// blocked on window space exactly when the front µop has reached its
+// dispatch cycle. Both partition identities are preserved exactly —
+// the flush-recovery charge goes to the same branch record, in the
+// same amount, as n single-cycle accounts would post.
 func (c *CPU) bulkAccount(n uint64) {
-	var b obs.Bucket
-	switch {
-	case c.recoverRec != nil:
-		b = obs.FlushRecovery
-		c.recoverRec.FlushCycles += n
-	case c.robCount == 0:
-		if c.fqCount == 0 && c.cycle < c.nextFetch {
-			b = obs.Structural
-		} else {
-			b = obs.FetchStall
-		}
-	default:
-		head := &c.uops[c.rob[c.robHead]]
-		switch {
-		case c.predSerial(head):
-			b = obs.PredSerial
-		case c.fqCount > 0 && c.uops[c.fq[c.fqHead]].dispReady <= c.cycle:
-			b = obs.WindowFull
-		default:
-			b = obs.ExecLatency
-		}
-	}
-	c.res.Acct.Buckets[b] += n
+	c.acctFull = c.fqCount > 0 && c.uops[c.fq[c.fqHead]].dispReady <= c.cycle
+	c.account(n)
 	c.dbgSkipped += n
 	c.cycle += n
 }
 
-// account closes the cycle for the observability layer: it attributes
-// the cycle to exactly one stall-taxonomy bucket (the accounting
-// identity: buckets partition total cycles) and resets the per-cycle
-// trackers. Priority: retires beat stalls; flush recovery beats every
-// other stall; an empty window is a front-end problem, a non-empty one
-// a back-end problem.
-func (c *CPU) account() {
+// account closes n cycles for the observability layer: it attributes
+// them to exactly one stall-taxonomy bucket (the accounting identity:
+// buckets partition total cycles) and resets the per-cycle trackers.
+// The live cycle loop closes one cycle at a time. Priority: retires
+// beat stalls; flush recovery beats every other stall; an empty window
+// is a front-end problem, a non-empty one a back-end problem.
+func (c *CPU) account(n uint64) {
 	var b obs.Bucket
 	switch {
 	case c.acctUseful > 0:
@@ -451,7 +429,7 @@ func (c *CPU) account() {
 		// Refilling after a flush; also charged to the flushing branch,
 		// so per-branch flush cycles sum exactly to this bucket.
 		b = obs.FlushRecovery
-		c.recoverRec.FlushCycles++
+		c.recoverRec.FlushCycles += n
 	case c.robCount == 0:
 		if c.fqCount == 0 && c.cycle < c.nextFetch {
 			b = obs.Structural // I-cache miss or BTB decode bubble
@@ -469,7 +447,7 @@ func (c *CPU) account() {
 			b = obs.ExecLatency
 		}
 	}
-	c.res.Acct.Buckets[b]++
+	c.res.Acct.Buckets[b] += n
 	c.acctRetired, c.acctUseful, c.acctFull = 0, 0, false
 }
 

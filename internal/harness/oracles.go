@@ -22,10 +22,6 @@ package harness
 //   - run: the run-identity rule is sound — a machine field that
 //     cpu.Observed resets for a program does not change that program's
 //     result frame, so lab.Warm may simulate one key per run identity.
-//   - resume (resume.go): a campaign journal cut at a seed-derived byte
-//     offset recovers its longest valid prefix and resumes to a
-//     byte-identical journal — the crash-safety contract of
-//     checkpoint/resume.
 
 import (
 	"context"
@@ -462,10 +458,8 @@ func OracleByName(name string) (Oracle, error) {
 		return &ClusterOracle{}, nil
 	case "run":
 		return &RunOracle{}, nil
-	case "resume":
-		return &ResumeOracle{}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, timing, cache, codec, cluster, run, resume)", name)
+		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, timing, cache, codec, cluster, run)", name)
 	}
 }
 
@@ -479,6 +473,5 @@ func DefaultOracles(killSwitch bool) []Oracle {
 		&CodecOracle{},
 		&ClusterOracle{},
 		&RunOracle{},
-		&ResumeOracle{},
 	}
 }

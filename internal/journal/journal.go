@@ -1,6 +1,6 @@
-// Package journal is the crash-safe campaign write-ahead log behind
-// wishbench -journal, which resumes a campaign that has no result
-// store to resume from: an append-only file of length-prefixed,
+// Package journal is bench/'s cold-campaign journal, deleted with the
+// next benchmark change; no command uses it. It is a crash-safe
+// campaign write-ahead log: an append-only file of length-prefixed,
 // CRC-sealed frames recording a campaign's spec set and every
 // completed result (serialized with the cpu binary result codec),
 // fsync'd on append so a SIGKILL at any instant loses at most the
@@ -351,7 +351,7 @@ func (j *Journal) appendFrameLocked() error {
 
 // Stats returns the journal's frame counters: result frames currently
 // in the file and the subset that was replayed (rather than appended)
-// by this process — the resumed_frames figure CI asserts on.
+// by this process. bench/'s cold campaign reports the first.
 func (j *Journal) Stats() (frames, resumed uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

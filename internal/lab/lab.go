@@ -55,11 +55,10 @@ type Lab struct {
 	// OnResult, when non-nil, observes every result this process
 	// acquires — fresh simulation, store hit, backend call, or a result
 	// shared within a Warm batch — exactly once per key, before any
-	// waiter on that key is released. It is
-	// wishbench's campaign-journal hook (internal/journal.Attach):
-	// results are journaled before they are observable, so a crash can
-	// lose only work nobody has seen. Seeded entries (results replayed
-	// from a journal) do not re-fire it. Set before the first run.
+	// waiter on that key is released. Only bench/ sets it, to journal
+	// its cold campaign (through internal/journal.Attach, or directly
+	// on traced runs). Seeded entries do not fire it. Set before the
+	// first run.
 	OnResult func(k Keyed, r *cpu.Result)
 
 	mu      sync.Mutex
@@ -236,10 +235,10 @@ func (l *Lab) settle(k Keyed, e *entry, res *cpu.Result, err error) {
 	close(e.done)
 }
 
-// Seed pre-populates the memo table with a completed result — the
-// journal-replay path: a resumed campaign seeds everything the journal
-// already has and re-simulates only the missing suffix. Seeding a key
-// that already has an entry is a no-op (reported as false), and seeded
+// Seed pre-populates the memo table with a completed result. Its one
+// caller is internal/journal.Attach, which bench/'s cold campaign uses
+// to replay its journal; it goes with that package. Seeding a key that
+// already has an entry is a no-op (reported as false), and seeded
 // entries do not fire OnResult: they came from the journal, so
 // re-journaling them would be circular. Seed before the campaign
 // starts; it does not resolve racing in-flight productions.

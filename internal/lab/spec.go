@@ -10,7 +10,8 @@
 //	         affects simulation behaviour)
 //	  → Lab (singleflight scheduler: memory cache → store → simulate;
 //	         Warm simulates one key per run identity and shares it)
-//	  → Store (atomic on-disk records keyed by SHA-256 of the Key)
+//	  → Store (CRC-sealed records appended to segment files, found
+//	         through an in-memory index of the Key)
 //
 // Aggregation stays in the caller: experiments warm their run-set with
 // Lab.Warm (parallel, unordered) and then render tables serially, so
@@ -89,13 +90,16 @@ func (s Spec) Validate() error {
 // keys ⇒ identical simulation results.
 func (s Spec) Key() string { return s.Keyed().Key }
 
-// Hash returns the SHA-256 of the key, the store's content address.
+// Hash returns the SHA-256 of the key. The store does not use it: its
+// index is keyed by a maphash of the key itself.
 func (s Spec) Hash() string { return s.Keyed().Hash }
 
-// Keyed pairs a Spec with its cache key and content hash. Hot paths
-// (Lab, serve, cluster) build a Keyed once per item and thread it
-// through, so a memo probe, a store lookup and a worker placement of
-// one campaign item share one key cache lookup.
+// Keyed pairs a Spec with its cache key and the key's SHA-256. Hot
+// paths (Lab, serve, cluster) build a Keyed once per item and thread
+// it through, so a memo probe, a store lookup and a worker placement
+// of one campaign item share one key cache lookup. Hash stays only
+// because bench/ passes it to Store.GetHashed and PutHashed, which
+// ignore it.
 type Keyed struct {
 	Spec Spec
 	Key  string

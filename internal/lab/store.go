@@ -86,8 +86,7 @@ type record struct {
 	clock int64 // last access, when the store is bounded
 }
 
-// A frame seals one binary record; it is the journal's frame
-// (DESIGN.md §15):
+// A frame seals one binary record (DESIGN.md §8):
 //
 //	u32 LE payload length ‖ payload ‖ u32 LE CRC-32 (IEEE) of the payload
 //

@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# End-to-end exercise of crash-safe resume (DESIGN.md §15): a
-# wishbench campaign journal, and the result store that carries a
-# daemon's resume.
+# End-to-end exercise of crash-safe resume (DESIGN.md §15): the result
+# store carries every process's resume.
 #
-# Part 1 — wishbench campaign journal:
-#   1. SIGKILL a `wishbench -journal` campaign mid-flight,
-#   2. resume it and assert stdout is byte-identical to an
-#      uninterrupted control run with resumed_frames > 0,
-#   3. resume the completed campaign again and assert it runs
-#      0 fresh simulations.
+# Part 1 — a campaign resumes from its store:
+#   1. SIGKILL a serial `wishbench -cache-dir S` campaign mid-flight,
+#   2. rerun it over the same store and assert stdout is
+#      byte-identical to an uninterrupted control run, that it read
+#      the results finished before the kill from the store (store
+#      hits >= 1) and simulated the rest (fresh >= 1), and that
+#      fresh + shared + store hits equals the control run's fresh +
+#      shared,
+#   3. run the completed campaign again and assert it prints
+#      "0 fresh simulations, 0 shared".
 #
 # Part 2 — a coordinator restarts with nothing to replay:
-#   4. SIGKILL a `wishsimd -coordinator` (it has no store and no
-#      journal) while a serial `wishbench -server` campaign runs
-#      through it to two memory-only workers,
+#   4. SIGKILL a `wishsimd -coordinator` (it has no store) while a
+#      serial `wishbench -server` campaign runs through it to two
+#      memory-only workers,
 #   5. restart it on the same worker list and assert the rerun output
 #      is byte-identical to the control run and that the workers'
 #      summed lab.fresh equals the control run's fresh count: the
@@ -30,9 +33,9 @@
 #      simulated the rest (lab.fresh >= 1), and that lab.fresh +
 #      lab.disk_hits equals the control run's fresh count.
 #
-# Parts 2 and 3 run at four times E2E_SCALE against a control run of
-# their own, so that a kill after the servers' second simulation lands
-# mid-campaign (each part asserts that it did). Each killed
+# Every part runs at four times E2E_SCALE against one control run, so
+# that a kill after the second simulation lands mid-campaign (each
+# part asserts that it did). Each killed
 # campaign's client is SIGKILLed with its server: it would only wait
 # out its retry budget against a dead address.
 #
@@ -112,54 +115,60 @@ echo "== build =="
 go build -o "$WORK/wishsimd" ./cmd/wishsimd
 go build -o "$WORK/wishbench" ./cmd/wishbench
 
-echo "== control run (-exp $EXP -scale $SCALE, no journal) =="
-"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -cache-dir "" \
-  >"$WORK/control.out" 2>"$WORK/control.err"
+# summary FILE NAME prints the count before NAME ("fresh simulations",
+# "shared", "store hits") in FILE's campaign summary line.
+summary() {
+  grep 'campaign done' "$1" | grep -Eo "[0-9]+ $2" | grep -Eo '^[0-9]+' || true
+}
 
-echo "== part 1: SIGKILL a journaled campaign mid-flight =="
-"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -cache-dir "" -j 1 -v \
-  -journal "$WORK/journal" >"$WORK/killed.out" 2>"$WORK/killed.err" &
+echo "== control run (-exp $EXP -scale $KSCALE, no store) =="
+"$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -cache-dir "" \
+  >"$WORK/control.out" 2>"$WORK/control.err"
+CFRESH=$(summary "$WORK/control.err" "fresh simulations")
+CSHARED=$(summary "$WORK/control.err" shared)
+[[ -n "$CFRESH" && -n "$CSHARED" ]] || fail "control run printed no campaign summary"
+
+echo "== part 1: SIGKILL a campaign over a store mid-flight =="
+"$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -cache-dir "$WORK/store" -j 1 -v \
+  >"$WORK/killed.out" 2>"$WORK/killed.err" &
 BENCH_PID=$!
 disown "$BENCH_PID" # keep bash from printing "Killed" when SIGKILL reaps it
 PIDS+=("$BENCH_PID")
-# With -j 1 the campaign is serial: when the N-th "ran" progress line
-# appears, result N-1 is already journaled (append is fsync'd before
-# the next simulation starts). Kill after the 2nd line: at least one
-# result frame is durable and the campaign is still mid-flight.
-for i in $(seq 1 600); do
+# With -j 1 the campaign is serial, and a "ran" progress line is
+# printed only after its result was appended to the store and
+# fsynced. Kill after the 2nd line: at least two results are durable
+# and the campaign is still mid-flight.
+for i in $(seq 1 1200); do
   if [[ $(grep -c " ran " "$WORK/killed.err" 2>/dev/null || true) -ge 2 ]]; then break; fi
-  [[ $i -eq 600 ]] && fail "campaign never completed 2 simulations within 60s"
-  sleep 0.1
+  [[ $i -eq 1200 ]] && fail "campaign never completed 2 simulations within 60s"
+  sleep 0.05
 done
 kill -9 "$BENCH_PID" 2>/dev/null || true
-echo "campaign SIGKILLed after ≥1 journaled result"
+echo "campaign SIGKILLed after at least 2 stored results"
 
-JFILE=$(ls "$WORK/journal"/campaign-*.wbj 2>/dev/null | head -1)
-[[ -n "$JFILE" ]] || fail "no journal file was created"
-
-echo "== part 1: resume =="
-"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -cache-dir "" \
-  -journal "$WORK/journal" >"$WORK/resumed.out" 2>"$WORK/resumed.err"
+echo "== part 1: rerun over the same store =="
+"$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -cache-dir "$WORK/store" \
+  >"$WORK/resumed.out" 2>"$WORK/resumed.err"
 cmp "$WORK/control.out" "$WORK/resumed.out" \
   || fail "resumed stdout differs from the uninterrupted control run"
-grep -Eq 'journal .*resumed_frames=[1-9]' "$WORK/resumed.err" \
-  || fail "resume replayed no frames (expected resumed_frames > 0)"
-echo "resumed run is byte-identical with $(grep -Eo 'resumed_frames=[0-9]+' "$WORK/resumed.err" | head -1)"
+RFRESH=$(summary "$WORK/resumed.err" "fresh simulations")
+RSHARED=$(summary "$WORK/resumed.err" shared)
+RHITS=$(summary "$WORK/resumed.err" "store hits")
+[[ "$RHITS" -ge 1 ]] || fail "the rerun read $RHITS results from the store, want >= 1"
+[[ "$RFRESH" -ge 1 ]] \
+  || fail "the rerun simulated nothing: the campaign finished before the kill; raise E2E_SCALE"
+[[ $((RFRESH + RSHARED + RHITS)) -eq $((CFRESH + CSHARED)) ]] \
+  || fail "rerun fresh $RFRESH + shared $RSHARED + store hits $RHITS != the control run's $CFRESH + $CSHARED"
+echo "rerun is byte-identical: $RHITS runs from the store, $RFRESH fresh, $RSHARED shared"
 
-echo "== part 1: second resume simulates nothing =="
-"$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -cache-dir "" \
-  -journal "$WORK/journal" >"$WORK/resumed2.out" 2>"$WORK/resumed2.err"
+echo "== part 1: a complete campaign simulates nothing =="
+"$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -cache-dir "$WORK/store" \
+  >"$WORK/resumed2.out" 2>"$WORK/resumed2.err"
 cmp "$WORK/control.out" "$WORK/resumed2.out" \
-  || fail "second resume stdout differs from the control run"
-grep -q "0 fresh simulations" "$WORK/resumed2.err" \
-  || fail "second resume of a complete campaign ran fresh simulations"
-echo "second resume: 0 fresh simulations, byte-identical"
-
-echo "== control run for parts 2-3 (-exp $EXP -scale $KSCALE) =="
-"$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -cache-dir "" \
-  >"$WORK/kcontrol.out" 2>"$WORK/kcontrol.err"
-CFRESH=$(grep -Eo '[0-9]+ fresh simulations' "$WORK/kcontrol.err" | head -1 | grep -Eo '^[0-9]+' || true)
-[[ -n "$CFRESH" ]] || fail "control run printed no fresh-simulation count"
+  || fail "third run stdout differs from the control run"
+grep -q "0 fresh simulations, 0 shared" "$WORK/resumed2.err" \
+  || fail "a run over a complete store ran or shared simulations"
+echo "third run: 0 fresh simulations, 0 shared, byte-identical"
 
 echo "== part 2: start 2 memory-only workers + a coordinator =="
 WORKER_URLS=()
@@ -205,7 +214,7 @@ echo "== part 2: restart the coordinator and rerun through it =="
 start_coordinator
 "$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -server "$COORD" \
   >"$WORK/cresumed.out" 2>"$WORK/cresumed.err"
-cmp "$WORK/kcontrol.out" "$WORK/cresumed.out" \
+cmp "$WORK/control.out" "$WORK/cresumed.out" \
   || fail "post-restart cluster stdout differs from the local control run"
 WSUM=$(fresh_sum "${WORKER_URLS[@]}")
 [[ "$WSUM" -eq "$CFRESH" ]] \
@@ -241,7 +250,7 @@ echo "== part 3: restart the worker on the same store and rerun =="
 start_sworker
 "$WORK/wishbench" -exp "$EXP" -scale "$KSCALE" -server "$SWORKER" \
   >"$WORK/wresumed.out" 2>"$WORK/wresumed.err"
-cmp "$WORK/kcontrol.out" "$WORK/wresumed.out" \
+cmp "$WORK/control.out" "$WORK/wresumed.out" \
   || fail "post-restart worker stdout differs from the local control run"
 WDISK=$(metric "$SWORKER" .lab.disk_hits disk_hits)
 WFRESH=$(metric "$SWORKER" .lab.fresh fresh)
