@@ -17,8 +17,8 @@
 //	wishbench -exp all -server http://host:8081 # simulate on a wishsimd daemon
 //
 // The -server URL may point at a single wishsimd worker or at a
-// `wishsimd -coordinator` fronting a whole cluster — the wire API is
-// identical and the output stays byte-identical either way.
+// `wishsimd -worker URL,...` coordinator fronting a whole cluster — the
+// wire API is identical and the output stays byte-identical either way.
 //
 // A killed campaign resumes from the result store: rerun the same
 // command and only the missing results simulate (DESIGN.md §15).

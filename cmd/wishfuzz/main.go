@@ -7,7 +7,7 @@
 //
 //	wishfuzz -seeds 200                          # 200 seeds, all oracles
 //	wishfuzz -for 2m                             # time-budget soak
-//	wishfuzz -oracles arch,timing -seeds 50      # subset of oracle families
+//	wishfuzz -oracles arch,cache -seeds 50       # subset of oracle families
 //	wishfuzz -seed-base 12345 -seeds 1           # exactly one seed (replay hint form)
 //	wishfuzz -corpus .fuzz-corpus -seeds 100     # persist repros + replay them first
 //	wishfuzz -keep-going -seeds 100              # don't stop at the first failure
@@ -20,9 +20,9 @@
 //
 //	wishfuzz -kill-switch -seeds 50              # expected to FAIL (exit 1)
 //
-// Oracle families: arch (emulator vs pipeline vs every variant),
-// timing (cycle-skipping vs reference mode), cache (warm vs cold
-// store), codec (binary vs JSON results), cluster (single node vs
+// Oracle families: arch (emulator vs pipeline vs every variant, then
+// cycle-skipping vs reference mode on the same runs), cache (binary vs
+// JSON results, then warm vs cold store), cluster (single node vs
 // coordinator+workers under seeded chaos), run (machine fields a
 // program cannot observe leave its result unchanged, the rule a
 // campaign shares simulations by).
@@ -53,7 +53,7 @@ func run() int {
 		seeds      = flag.Int("seeds", 0, "number of seeds to soak (0 = use -for)")
 		budget     = flag.Duration("for", 0, "wall-clock soak budget (alternative to -seeds)")
 		seedBase   = flag.Uint64("seed-base", 1, "first seed (replay hints use -seed-base N -seeds 1)")
-		oracleList = flag.String("oracles", "arch,timing,cache,codec,cluster,run", "comma-separated oracle families")
+		oracleList = flag.String("oracles", "arch,cache,cluster,run", "comma-separated oracle families")
 		corpus     = flag.String("corpus", "", "repro/corpus directory (failures persist here and replay on startup)")
 		keepGoing  = flag.Bool("keep-going", false, "continue past failures instead of stopping at the first")
 		killSwitch = flag.Bool("kill-switch", false, "deliberately inject a guard-dropping miscompile (harness self-test; a clean run then means the harness is broken)")

@@ -23,12 +23,12 @@
 // evicted result costs a restarted daemon a re-simulation, never a
 // wrong byte.
 //
-// Cluster mode: the same binary fronts a fleet of workers as a
-// coordinator speaking the identical wire API, so `wishbench -server`
-// points at either without knowing which it got:
+// Cluster mode: given -worker URLs, the same binary fronts that fleet
+// of workers as a coordinator speaking the identical wire API, so
+// `wishbench -server` points at either without knowing which it got:
 //
-//	wishsimd -coordinator -worker http://h1:8081,http://h2:8081,http://h3:8081
-//	wishsimd -coordinator -worker ... -probe-interval 1s # membership probes
+//	wishsimd -worker http://h1:8081,http://h2:8081,http://h3:8081
+//	wishsimd -worker ... -probe-interval 1s # membership probes
 //
 // A coordinator is worker mode with its workers in place of the
 // store: the same server, whose lab acquires each result it does not
@@ -89,32 +89,26 @@ func run() int {
 		maxTimeout   = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "ceiling (and default) for per-request deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long SIGTERM waits for in-flight runs")
 
-		coordinator   = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
-		workerList    = flag.String("worker", "", "comma-separated worker base URLs (coordinator mode; repeatable via commas)")
+		workerList    = flag.String("worker", "", "comma-separated worker base URLs; any makes this a cluster coordinator")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker /healthz probe cadence (coordinator mode)")
 	)
 	lf := cliflags.RegisterLab(flag.CommandLine)
 	flag.Parse()
 
 	var urls []string
-	if *coordinator {
-		for _, u := range strings.Split(*workerList, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, strings.TrimRight(u, "/"))
-			}
-		}
-		if len(urls) == 0 {
-			fmt.Fprintln(os.Stderr, "wishsimd: -coordinator needs at least one -worker URL")
-			return 2
+	for _, u := range strings.Split(*workerList, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, strings.TrimRight(u, "/"))
 		}
 	}
+	coordinator := len(urls) > 0
 
 	sched := lab.New()
 	lf.Apply(sched)
 	// A coordinator's lab keeps no store: its workers own theirs, and
 	// a restarted coordinator re-routes to them.
 	var store *lab.Store
-	if !*coordinator {
+	if !coordinator {
 		store = lf.OpenStore("wishsimd")
 	}
 	if store != nil {
@@ -136,7 +130,7 @@ func run() int {
 	// given it bounds nothing, and its workers' 429s are the
 	// backpressure. A negative -j on a worker is NumCPU, as in lab.
 	workers := max(lf.Workers, 0)
-	if *coordinator && !(flagSet("j") && workers > 0) {
+	if coordinator && !(flagSet("j") && workers > 0) {
 		workers = -1
 	}
 	srv := &serve.Server{
@@ -153,7 +147,7 @@ func run() int {
 		srv.Log = os.Stderr
 	}
 
-	if !*coordinator {
+	if !coordinator {
 		return serveUntilSignal(*addr, srv.Handler(),
 			fmt.Sprintf("listening on %s (%d workers, queue %d)", *addr, lf.Workers, *queue),
 			*drainTimeout, srv.Drain, sched.Summary)

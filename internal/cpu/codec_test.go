@@ -110,7 +110,7 @@ func TestResultCodecGolden(t *testing.T) {
 }
 
 // TestResultCodecJSONDifferential is the same identity the harness
-// codec oracle and FuzzResultCodec check: for any Result, binary
+// cache oracle and FuzzResultCodec check: for any Result, binary
 // encode→decode must reproduce the exact JSON serialization.
 func TestResultCodecJSONDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

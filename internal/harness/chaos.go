@@ -33,15 +33,15 @@ import (
 // ChaosEvent is one scheduled misbehavior of one worker.
 type ChaosEvent struct {
 	// Worker indexes the fleet.
-	Worker int `json:"worker"`
-	// Fault, when non-empty, is a serve.ParseFault spec injected into
-	// the worker ("error:1-2", "drop:1", "delay:1:5ms", ...).
-	Fault string `json:"fault,omitempty"`
+	Worker int
+	// Fault, when non-nil, is the worker's serve.Server.Fault (it
+	// prints as "error:1-2", "drop:1", "delay:1:5ms", ...).
+	Fault *serve.Fault
 	// KillAfter, when non-zero, kills the worker at its Nth admitted
 	// API request: that request and every later one are aborted
 	// mid-response, exactly what a SIGKILLed process looks like to the
 	// coordinator.
-	KillAfter uint64 `json:"kill_after,omitempty"`
+	KillAfter uint64
 }
 
 // ChaosWorkers is the fleet size the cluster oracle stands up.
@@ -69,17 +69,18 @@ func ChaosSchedule(seed uint64) []ChaosEvent {
 		}
 	}
 	for w := 0; w < ChaosWorkers; w++ {
-		var fault string
+		var fault *serve.Fault
 		switch pick := g.intn(4); {
 		case pick == 0 && w != survivor:
 			// Bounded 5xx window: heals within the retry budget (and the
 			// worker is marked dead regardless — routing must absorb it).
-			first := 1 + g.intn(2)
-			fault = fmt.Sprintf("error:%d-%d", first, first+g.intn(2))
+			first := uint64(1 + g.intn(2))
+			fault = &serve.Fault{Mode: "error", Nth: first, Last: first + uint64(g.intn(2))}
 		case pick == 1 && w != survivor:
-			fault = fmt.Sprintf("drop:%d", 1+g.intn(3))
+			fault = &serve.Fault{Mode: "drop", Nth: uint64(1 + g.intn(3))}
 		case pick == 2:
-			fault = fmt.Sprintf("delay:%d:%dms", 1+g.intn(3), 1+g.intn(10))
+			fault = &serve.Fault{Mode: "delay", Nth: uint64(1 + g.intn(3)),
+				Delay: time.Duration(1+g.intn(10)) * time.Millisecond}
 		default:
 			continue // this worker behaves
 		}
@@ -189,10 +190,10 @@ func (o *ClusterOracle) Check(ctx context.Context, c Case) error {
 // runChaosCampaign stands up the fleet, applies the schedule, and runs
 // the campaign through the coordinator's public wire API.
 func runChaosCampaign(ctx context.Context, specs []lab.Spec, chaos []ChaosEvent) ([]api.CampaignItem, error) {
-	faults := map[int]string{}
+	faults := map[int]*serve.Fault{}
 	kills := map[int]uint64{}
 	for _, ev := range chaos {
-		if ev.Fault != "" {
+		if ev.Fault != nil {
 			faults[ev.Worker] = ev.Fault
 		}
 		if ev.KillAfter != 0 {
@@ -203,11 +204,7 @@ func runChaosCampaign(ctx context.Context, specs []lab.Spec, chaos []ChaosEvent)
 	urls := make([]string, ChaosWorkers)
 	servers := make([]*httptest.Server, ChaosWorkers)
 	for w := 0; w < ChaosWorkers; w++ {
-		fault, err := serve.ParseFault(faults[w])
-		if err != nil {
-			return nil, fmt.Errorf("worker %d fault: %w", w, err)
-		}
-		srv := &serve.Server{Lab: lab.New(), Workers: 2, Fault: fault}
+		srv := &serve.Server{Lab: lab.New(), Workers: 2, Fault: faults[w]}
 		h := srv.Handler()
 		if kill, ok := kills[w]; ok {
 			h = killAfter(h, kill)

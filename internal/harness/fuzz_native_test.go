@@ -18,6 +18,7 @@ import (
 	"context"
 	"testing"
 
+	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
 	"wishbranch/internal/testutil"
 )
@@ -28,6 +29,8 @@ func fuzzSeeds(f *testing.F) {
 	}
 }
 
+// FuzzArchConformance checks architectural equivalence and, on the
+// same runs, that cycle skipping leaves the result unchanged.
 func FuzzArchConformance(f *testing.F) {
 	fuzzSeeds(f)
 	o := &ArchOracle{Machines: []*config.Machine{config.DefaultMachine()}}
@@ -38,12 +41,29 @@ func FuzzArchConformance(f *testing.F) {
 	})
 }
 
+// FuzzTimingConformance checks the cycle-skip identity on its own: on
+// the baseline machine, every variant's cpu.Result is byte-identical
+// with event-driven cycle skipping on and off. FuzzArchConformance
+// reaches the same identity only for programs that pass every
+// architectural check; a failure here replays under the arch oracle.
 func FuzzTimingConformance(f *testing.F) {
 	fuzzSeeds(f)
-	o := &TimingOracle{Machines: []*config.Machine{config.DefaultMachine()}}
+	cfg := config.DefaultMachine()
+	thr := compiler.DefaultThresholds()
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		if err := o.Check(context.Background(), NewCase(seed)); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("timing", seed))
+		c := NewCase(seed)
+		for _, v := range compiler.Variants() {
+			p, err := compiler.CompileOpt(c.Source, v, thr)
+			if err != nil {
+				t.Fatalf("seed %d: compile %v: %v", seed, v, err)
+			}
+			_, res, err := simulate(cfg, p, true)
+			if err == nil {
+				err = sameAsReference(cfg, p, res)
+			}
+			if err != nil {
+				t.Fatalf("seed %d: %v: %v\n%s", seed, v, err, testutil.ReplayHint("arch", seed))
+			}
 		}
 	})
 }
@@ -61,17 +81,18 @@ func FuzzRunConformance(f *testing.F) {
 	})
 }
 
-// FuzzCodecConformance drives the JSON↔binary result differential from
-// the seed space: coverage feedback steers toward programs whose
-// results stress unusual codec shapes (deep branch tables, saturated
-// counters). The cpu package's FuzzResultCodec attacks the decoder with
-// hostile bytes; this target checks real results end to end.
-func FuzzCodecConformance(f *testing.F) {
+// FuzzCacheConformance drives the JSON↔binary result differential and
+// the store round trip from the seed space: coverage feedback steers
+// toward programs whose results stress unusual codec shapes (deep
+// branch tables, saturated counters). The cpu package's FuzzResultCodec
+// attacks the decoder with hostile bytes; this target checks real
+// results end to end.
+func FuzzCacheConformance(f *testing.F) {
 	fuzzSeeds(f)
-	o := &CodecOracle{}
+	o := &CacheOracle{}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		if err := o.Check(context.Background(), NewCase(seed)); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("codec", seed))
+			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("cache", seed))
 		}
 	})
 }

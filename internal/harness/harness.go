@@ -1,14 +1,16 @@
 // Package harness is the differential conformance engine: one
 // deterministic generator (compiler.GenRandomSource) feeding pluggable
-// oracles, each of which checks a cross-cutting identity the whole
-// stack stakes its correctness on — emulator-vs-pipeline architectural
-// equivalence across all five binary variants, cycle-skipping vs
-// reference-mode timing identity, warm-vs-cold result-store byte
-// identity, and single-node vs coordinator+workers byte identity under
-// seeded chaos schedules. When an oracle fails, the engine shrinks the
-// generated program to a minimal still-failing form and writes a
-// self-contained JSON repro replayable with `wishfuzz -replay`
-// (DESIGN.md §13).
+// oracles, four families that check the cross-cutting identities the
+// whole stack stakes its correctness on — arch: emulator-vs-pipeline
+// architectural equivalence across all five binary variants, then
+// cycle-skipping vs reference-mode timing identity on the same runs;
+// cache: JSON-vs-binary codec identity and warm-vs-cold result-store
+// byte identity on one cold result; cluster: single-node vs
+// coordinator+workers byte identity under seeded chaos schedules; and
+// run: the run-identity rule a campaign shares simulations by. When an
+// oracle fails, the engine shrinks the generated program to a minimal
+// still-failing form and writes a self-contained JSON repro replayable
+// with `wishfuzz -replay` (DESIGN.md §13).
 package harness
 
 import (
@@ -188,7 +190,9 @@ func checkCase(ctx context.Context, opts *Options, rep *Report, c Case) (stop bo
 
 // replayCorpus re-checks every repro already in the corpus directory —
 // a free regression suite: once a failure is minimized and committed,
-// every future soak proves it stays fixed.
+// every future soak proves it stays fixed. A repro of a family this
+// run did not select is skipped; one whose oracle no longer exists is
+// an error, so a retired family's repros cannot drop out unnoticed.
 func replayCorpus(ctx context.Context, opts *Options, rep *Report) error {
 	paths, err := filepath.Glob(filepath.Join(opts.CorpusDir, "repro-*.json"))
 	if err != nil {
@@ -206,6 +210,9 @@ func replayCorpus(ctx context.Context, opts *Options, rep *Report) error {
 		}
 		o, ok := byName[r.Oracle]
 		if !ok {
+			if _, err := OracleByName(r.Oracle); err != nil {
+				return fmt.Errorf("harness: corpus %s: %w", p, err)
+			}
 			continue // oracle family not selected this run
 		}
 		c, err := r.Case()

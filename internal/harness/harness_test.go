@@ -67,13 +67,13 @@ func TestSourceCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCleanSoak: with no injected bug, every source-sensitive oracle
-// family passes over fresh seeds. This is the in-tree slice of the
+// TestCleanSoak: with no injected bug, the arch and cache oracle
+// families pass over fresh seeds. This is the in-tree slice of the
 // CI soak (cmd/wishfuzz runs the full 200-seed version).
 func TestCleanSoak(t *testing.T) {
 	seeds := testutil.Seeds(t, 6, 2)
 	rep, err := Soak(context.Background(), Options{
-		Oracles:  []Oracle{&ArchOracle{}, &TimingOracle{}, &CacheOracle{}, &CodecOracle{}},
+		Oracles:  []Oracle{&ArchOracle{}, &CacheOracle{}},
 		SeedBase: 7000,
 		Seeds:    seeds,
 	})
@@ -83,25 +83,26 @@ func TestCleanSoak(t *testing.T) {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("clean soak found failures: %+v", rep.Failures)
 	}
-	if rep.Seeds != seeds || rep.Checks != 4*seeds {
-		t.Fatalf("report: %d seeds, %d checks (want %d, %d)", rep.Seeds, rep.Checks, seeds, 4*seeds)
+	if rep.Seeds != seeds || rep.Checks != 2*seeds {
+		t.Fatalf("report: %d seeds, %d checks (want %d, %d)", rep.Seeds, rep.Checks, seeds, 2*seeds)
 	}
-	for _, name := range []string{"arch", "timing", "cache", "codec"} {
+	for _, name := range []string{"arch", "cache"} {
 		if rep.PerOracle[name] != seeds {
 			t.Fatalf("oracle %s ran %d times, want %d", name, rep.PerOracle[name], seeds)
 		}
 	}
 }
 
-// TestCodecOracleCleanOnFreshSeeds: the JSON↔binary differential holds
-// over generated programs the codec's unit fixtures never saw.
-func TestCodecOracleCleanOnFreshSeeds(t *testing.T) {
-	o := &CodecOracle{}
+// TestCacheOracleCleanOnFreshSeeds: the JSON↔binary differential and
+// the store round trip hold over generated programs the codec's unit
+// fixtures never saw.
+func TestCacheOracleCleanOnFreshSeeds(t *testing.T) {
+	o := &CacheOracle{}
 	seeds := testutil.Seeds(t, 8, 3)
 	for seed := 0; seed < seeds; seed++ {
 		c := NewCase(uint64(9700 + seed))
 		if err := o.Check(context.Background(), c); err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("codec", c.Seed))
+			t.Fatalf("seed %d: %v\n%s", seed, err, testutil.ReplayHint("cache", c.Seed))
 		}
 	}
 }
@@ -161,9 +162,20 @@ func TestClusterOracleCleanUnderChaos(t *testing.T) {
 }
 
 // TestChaosScheduleDeterministicAndSurvivable: the schedule derives
-// purely from the seed, and always leaves at least one worker that can
-// neither be killed nor marked dead by a routable fault.
+// purely from the seed, prints as pinned (so a failure message names
+// the schedule a replay will run), and always leaves at least one
+// worker that can neither be killed nor marked dead by a routable
+// fault.
 func TestChaosScheduleDeterministicAndSurvivable(t *testing.T) {
+	for seed, want := range map[uint64]string{
+		7:  "[{Worker:2 Fault: KillAfter:1} {Worker:1 Fault:error:1-2 KillAfter:0}]",
+		11: "[{Worker:1 Fault:delay:1:1ms KillAfter:0} {Worker:2 Fault:error:2-2 KillAfter:0}]",
+		17: "[{Worker:2 Fault: KillAfter:1} {Worker:1 Fault:drop:2 KillAfter:0} {Worker:2 Fault:delay:1:5ms KillAfter:0}]",
+	} {
+		if got := fmt.Sprintf("%+v", ChaosSchedule(seed)); got != want {
+			t.Errorf("seed %d: schedule prints\n%s\nwant\n%s", seed, got, want)
+		}
+	}
 	for seed := uint64(0); seed < 500; seed++ {
 		a := ChaosSchedule(seed)
 		b := ChaosSchedule(seed)
@@ -178,7 +190,7 @@ func TestChaosScheduleDeterministicAndSurvivable(t *testing.T) {
 			if ev.KillAfter != 0 {
 				doomed[ev.Worker] = true
 			}
-			if strings.HasPrefix(ev.Fault, "error:") || strings.HasPrefix(ev.Fault, "drop:") {
+			if ev.Fault != nil && (ev.Fault.Mode == "error" || ev.Fault.Mode == "drop") {
 				doomed[ev.Worker] = true
 			}
 		}
@@ -293,6 +305,28 @@ func TestCorpusReplayCatchesRegressions(t *testing.T) {
 	}
 	if len(rep.Failures) == 0 || rep.Failures[0].Seed != failing.Seed {
 		t.Fatalf("corpus regression not re-reported: %+v", rep.Failures)
+	}
+}
+
+// TestCorpusReplayRejectsUnknownOracles: a corpus repro of a family
+// the run did not select is skipped, but one whose oracle no longer
+// exists fails the soak and names the file.
+func TestCorpusReplayRejectsUnknownOracles(t *testing.T) {
+	corpus := t.TempDir()
+	soakWith := func(oracle string) (*Report, error) {
+		if err := WriteRepro(filepath.Join(corpus, "repro-"+oracle+"-1.json"),
+			&Repro{Schema: ReproSchema, Oracle: oracle, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return Soak(context.Background(), Options{
+			Oracles: []Oracle{nopOracle{}}, CorpusDir: corpus, Seeds: 1,
+		})
+	}
+	if rep, err := soakWith("cache"); err != nil || rep.Replayed != 0 {
+		t.Fatalf("unselected family: %d replays, err %v; want it skipped", rep.Replayed, err)
+	}
+	if _, err := soakWith("timing"); err == nil || !strings.Contains(err.Error(), "repro-timing-1.json") {
+		t.Fatalf("retired oracle: err %v, want one naming repro-timing-1.json", err)
 	}
 }
 

@@ -7,18 +7,14 @@ package harness
 //     and every variant's emulator run equals NormalBranch's — the
 //     paper's mode-independence property (architectural results do not
 //     depend on which execution path the hardware picked) plus
-//     cross-variant functional equivalence of the lowering.
-//   - timing: the event-skipping scheduler is an optimization, not a
-//     model change — a skipped run's full cpu.Result is byte-identical
-//     to the reference cycle-by-cycle run.
-//   - cache: a warm lab.Store read returns byte-identical JSON to the
-//     cold simulation that produced it, and re-simulation reproduces
-//     the stored bytes (end-to-end determinism of result + store).
-//   - codec: the binary result codec is a lossless re-encoding of the
-//     JSON wire form — encode→decode round-trips to JSON-identical
-//     results, re-encoding is byte-stable, and the frame is exactly
-//     self-delimiting (differential JSON↔binary check over real
-//     simulator output, not hand-built fixtures).
+//     cross-variant functional equivalence of the lowering. Once those
+//     hold, each of its runs is repeated cycle by cycle: event-driven
+//     cycle skipping is an optimization, not a model change, so the
+//     reference run's full cpu.Result must be byte-identical.
+//   - cache: the binary result codec re-encodes the cold simulation's
+//     result losslessly, a warm lab.Store read returns byte-identical
+//     JSON to that cold result, and re-simulation reproduces it
+//     (end-to-end determinism of result, codec and store).
 //   - run: the run-identity rule is sound — a machine field that
 //     cpu.Observed resets for a program does not change that program's
 //     result frame, so lab.Warm may simulate one key per run identity.
@@ -45,7 +41,7 @@ const (
 	maxCPUCycles = 5_000_000
 )
 
-// ConformanceMachines is the machine-config spread the arch and timing
+// ConformanceMachines is the machine-config spread the arch and run
 // oracles check by default: the baseline, both predication mechanisms,
 // a resized window, and every oracle knob — the same net the cpu
 // package's pipeline fuzz test casts.
@@ -71,11 +67,16 @@ func ConformanceMachines() []*config.Machine {
 }
 
 // ArchOracle checks architectural equivalence: pipeline vs emulator
-// for every variant × machine, and every variant vs NormalBranch.
-// KillSwitch deliberately re-introduces a guard-dropping miscompile
-// into the BASE-MAX binary (see killswitch.go) — it exists so the
-// harness can prove, end to end, that it detects and shrinks real
-// bugs.
+// for every variant × machine, and every variant vs NormalBranch. Once
+// all of those hold, it re-runs each pipeline run with cycle skipping
+// off and requires the same cpu.Result: skipping must be invisible,
+// and the dead-cycle rule reads the window size and, through
+// needsSelect, the oracle knobs, so it is checked on the full machine
+// spread. The reference runs come last, so an architectural failure
+// fails (and shrinks) without paying for them. KillSwitch
+// deliberately re-introduces a guard-dropping miscompile into the
+// BASE-MAX binary (see killswitch.go) — it exists so the harness can
+// prove, end to end, that it detects and shrinks real bugs.
 type ArchOracle struct {
 	Machines   []*config.Machine // nil = ConformanceMachines()
 	KillSwitch bool
@@ -96,6 +97,13 @@ func (o *ArchOracle) Check(ctx context.Context, c Case) error {
 		machines = ConformanceMachines()
 	}
 	thr := compiler.DefaultThresholds()
+	type pipelineRun struct {
+		v   compiler.Variant
+		ci  int
+		p   *prog.Program
+		res *cpu.Result // cycle skipping on
+	}
+	var runs []pipelineRun
 	var ref *emu.State // NormalBranch's architectural outcome
 	for _, v := range compiler.Variants() {
 		if err := ctx.Err(); err != nil {
@@ -119,11 +127,7 @@ func (o *ArchOracle) Check(ctx context.Context, c Case) error {
 				v, compiler.NormalBranch, err)
 		}
 		for ci, cfg := range machines {
-			sim, err := cpu.New(cfg, p, nil)
-			if err != nil {
-				return fmt.Errorf("%v cfg%d: %w", v, ci, err)
-			}
-			res, err := sim.Run(maxCPUCycles)
+			sim, res, err := simulate(cfg, p, true)
 			if err != nil {
 				return fmt.Errorf("%v cfg%d: %w", v, ci, err)
 			}
@@ -133,9 +137,52 @@ func (o *ArchOracle) Check(ctx context.Context, c Case) error {
 			if err := diffArch(sim.ArchState(), em); err != nil {
 				return fmt.Errorf("%v cfg%d pipeline diverges from emulator: %w", v, ci, err)
 			}
+			runs = append(runs, pipelineRun{v, ci, p, res})
+		}
+	}
+	for _, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := sameAsReference(machines[r.ci], r.p, r.res); err != nil {
+			return fmt.Errorf("%v cfg%d: %w", r.v, r.ci, err)
 		}
 	}
 	return nil
+}
+
+// sameAsReference re-runs p on cfg cycle by cycle and requires the
+// reference run's full cpu.Result to be byte-identical to skipped, the
+// result of the same run with cycle skipping on.
+func sameAsReference(cfg *config.Machine, p *prog.Program, skipped *cpu.Result) error {
+	_, res, err := simulate(cfg, p, false)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
+	}
+	skip, err := json.Marshal(skipped)
+	if err != nil {
+		return fmt.Errorf("marshal: %w", err)
+	}
+	reference, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("reference marshal: %w", err)
+	}
+	if string(skip) != string(reference) {
+		return fmt.Errorf("skipped result differs from reference:\nskip: %s\nref:  %s", skip, reference)
+	}
+	return nil
+}
+
+// simulate runs p on cfg until it halts or maxCPUCycles pass, with
+// event-driven cycle skipping on or off.
+func simulate(cfg *config.Machine, p *prog.Program, skip bool) (*cpu.CPU, *cpu.Result, error) {
+	sim, err := cpu.New(cfg, p, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	sim.SetCycleSkipping(skip)
+	res, err := sim.Run(maxCPUCycles)
+	return sim, res, err
 }
 
 // diffArch compares the architecturally meaningful state of two runs
@@ -157,66 +204,16 @@ func diffArch(got, want *emu.State) error {
 	return nil
 }
 
-// TimingOracle checks that event-driven cycle skipping is invisible:
-// for every variant × machine, a run with skipping enabled produces a
-// byte-identical cpu.Result to the reference cycle-by-cycle run. It
-// checks the arch oracle's full machine spread: the dead-cycle rule
-// reads the window size and, through needsSelect, the oracle knobs.
-type TimingOracle struct {
-	Machines []*config.Machine // nil = ConformanceMachines()
-}
-
-func (o *TimingOracle) Name() string          { return "timing" }
-func (o *TimingOracle) SourceSensitive() bool { return true }
-
-func (o *TimingOracle) Check(ctx context.Context, c Case) error {
-	machines := o.Machines
-	if machines == nil {
-		machines = ConformanceMachines()
-	}
-	thr := compiler.DefaultThresholds()
-	for _, v := range compiler.Variants() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p, err := compiler.CompileOpt(c.Source, v, thr)
-		if err != nil {
-			return fmt.Errorf("compile %v: %w", v, err)
-		}
-		for ci, cfg := range machines {
-			run := func(skip bool) ([]byte, error) {
-				sim, err := cpu.New(cfg, p, nil)
-				if err != nil {
-					return nil, err
-				}
-				sim.SetCycleSkipping(skip)
-				res, err := sim.Run(maxCPUCycles)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(res)
-			}
-			skipped, err := run(true)
-			if err != nil {
-				return fmt.Errorf("%v cfg%d skipping: %w", v, ci, err)
-			}
-			reference, err := run(false)
-			if err != nil {
-				return fmt.Errorf("%v cfg%d reference: %w", v, ci, err)
-			}
-			if string(skipped) != string(reference) {
-				return fmt.Errorf("%v cfg%d: skipped result differs from reference:\nskip: %s\nref:  %s",
-					v, ci, skipped, reference)
-			}
-		}
-	}
-	return nil
-}
-
-// CacheOracle checks warm-vs-cold byte identity through a real
-// lab.Store in a throwaway directory: the cold simulation's result,
-// the store's round-trip of it, and an independent re-simulation must
-// all serialize to the same bytes.
+// CacheOracle checks a cold simulation's result through the two
+// encodings every stored or served result takes. First the binary
+// result codec, over genuine simulator output rather than hand-built
+// fixtures (long branch tables, zero-branch results, saturated
+// counters): the frame is exactly the size EncodedResultSize promises
+// and exactly self-delimiting, decodes to a result whose JSON matches
+// the cold result's, and re-encodes to the same bytes. Then a real
+// lab.Store in a throwaway directory: the store's round-trip of the
+// result and an independent re-simulation must both serialize to the
+// cold result's bytes.
 type CacheOracle struct{}
 
 func (o *CacheOracle) Name() string          { return "cache" }
@@ -243,22 +240,39 @@ func (o *CacheOracle) Check(ctx context.Context, c Case) error {
 		if err != nil {
 			return fmt.Errorf("compile %v: %w", v, err)
 		}
-		simulate := func() ([]byte, *cpu.Result, error) {
-			sim, err := cpu.New(cfg, p, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := sim.Run(maxCPUCycles)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := json.Marshal(res)
-			return b, res, err
-		}
-		cold, res, err := simulate()
+		_, res, err := simulate(cfg, p, true)
 		if err != nil {
 			return fmt.Errorf("%v cold: %w", v, err)
 		}
+		cold, err := json.Marshal(res)
+		if err != nil {
+			return fmt.Errorf("%v marshal: %w", v, err)
+		}
+
+		frame := cpu.AppendResult(nil, res)
+		if want := cpu.EncodedResultSize(res); len(frame) != want {
+			return fmt.Errorf("%v: encoded %d bytes, EncodedResultSize promised %d", v, len(frame), want)
+		}
+		var back cpu.Result
+		n, err := cpu.DecodeResult(frame, &back)
+		if err != nil {
+			return fmt.Errorf("%v decode: %w", v, err)
+		}
+		if n != len(frame) {
+			return fmt.Errorf("%v: decode consumed %d of %d bytes — frame is not self-delimiting", v, n, len(frame))
+		}
+		decoded, err := json.Marshal(&back)
+		if err != nil {
+			return fmt.Errorf("%v remarshal: %w", v, err)
+		}
+		if string(decoded) != string(cold) {
+			return fmt.Errorf("%v: binary round-trip diverges from JSON:\nwant: %s\ngot:  %s",
+				v, cold, decoded)
+		}
+		if again := cpu.AppendResult(nil, &back); string(again) != string(frame) {
+			return fmt.Errorf("%v: re-encoding a decoded result changed the bytes", v)
+		}
+
 		key := fmt.Sprintf("harness|seed=%d|variant=%d", c.Seed, int(v))
 		if err := st.Put(key, res); err != nil {
 			return fmt.Errorf("%v put: %w", v, err)
@@ -275,77 +289,17 @@ func (o *CacheOracle) Check(ctx context.Context, c Case) error {
 			return fmt.Errorf("%v: warm store read differs from cold result:\ncold: %s\nwarm: %s",
 				v, cold, warmB)
 		}
-		again, _, err := simulate()
+		_, res, err = simulate(cfg, p, true)
 		if err != nil {
 			return fmt.Errorf("%v re-run: %w", v, err)
+		}
+		again, err := json.Marshal(res)
+		if err != nil {
+			return fmt.Errorf("%v re-run marshal: %w", v, err)
 		}
 		if string(again) != string(cold) {
 			return fmt.Errorf("%v: re-simulation differs from first run:\nfirst:  %s\nsecond: %s",
 				v, cold, again)
-		}
-	}
-	return nil
-}
-
-// CodecOracle is the JSON↔binary differential check over genuine
-// simulator output: for every variant of the generated program, the
-// binary result frame must decode to a result whose JSON serialization
-// matches the original's exactly, re-encode to the same bytes, and be
-// precisely self-delimiting (EncodedResultSize == appended == consumed).
-// Fuzzing this against compiler-generated programs exercises codec
-// shapes hand-written fixtures miss — long branch tables, zero-branch
-// results, saturated counters.
-type CodecOracle struct{}
-
-func (o *CodecOracle) Name() string          { return "codec" }
-func (o *CodecOracle) SourceSensitive() bool { return true }
-
-func (o *CodecOracle) Check(ctx context.Context, c Case) error {
-	thr := compiler.DefaultThresholds()
-	cfg := config.DefaultMachine()
-	for _, v := range compiler.Variants() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p, err := compiler.CompileOpt(c.Source, v, thr)
-		if err != nil {
-			return fmt.Errorf("compile %v: %w", v, err)
-		}
-		sim, err := cpu.New(cfg, p, nil)
-		if err != nil {
-			return fmt.Errorf("%v: %w", v, err)
-		}
-		res, err := sim.Run(maxCPUCycles)
-		if err != nil {
-			return fmt.Errorf("%v: %w", v, err)
-		}
-		wantJSON, err := json.Marshal(res)
-		if err != nil {
-			return fmt.Errorf("%v marshal: %w", v, err)
-		}
-		frame := cpu.AppendResult(nil, res)
-		if want := cpu.EncodedResultSize(res); len(frame) != want {
-			return fmt.Errorf("%v: encoded %d bytes, EncodedResultSize promised %d", v, len(frame), want)
-		}
-		var back cpu.Result
-		n, err := cpu.DecodeResult(frame, &back)
-		if err != nil {
-			return fmt.Errorf("%v decode: %w", v, err)
-		}
-		if n != len(frame) {
-			return fmt.Errorf("%v: decode consumed %d of %d bytes — frame is not self-delimiting", v, n, len(frame))
-		}
-		gotJSON, err := json.Marshal(&back)
-		if err != nil {
-			return fmt.Errorf("%v remarshal: %w", v, err)
-		}
-		if string(gotJSON) != string(wantJSON) {
-			return fmt.Errorf("%v: binary round-trip diverges from JSON:\nwant: %s\ngot:  %s",
-				v, wantJSON, gotJSON)
-		}
-		again := cpu.AppendResult(nil, &back)
-		if string(again) != string(frame) {
-			return fmt.Errorf("%v: re-encoding a decoded result changed the bytes", v)
 		}
 	}
 	return nil
@@ -396,11 +350,7 @@ func (o *RunOracle) Check(ctx context.Context, c Case) error {
 	}
 	thr := compiler.DefaultThresholds()
 	frame := func(m *config.Machine, p *prog.Program) ([]byte, error) {
-		sim, err := cpu.New(m, p, nil)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(maxCPUCycles)
+		_, res, err := simulate(m, p, true)
 		if err != nil {
 			return nil, err
 		}
@@ -448,18 +398,14 @@ func OracleByName(name string) (Oracle, error) {
 		return &ArchOracle{}, nil
 	case "arch+killswitch":
 		return &ArchOracle{KillSwitch: true}, nil
-	case "timing":
-		return &TimingOracle{}, nil
 	case "cache":
 		return &CacheOracle{}, nil
-	case "codec":
-		return &CodecOracle{}, nil
 	case "cluster":
 		return &ClusterOracle{}, nil
 	case "run":
 		return &RunOracle{}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, timing, cache, codec, cluster, run)", name)
+		return nil, fmt.Errorf("harness: unknown oracle %q (have arch, cache, cluster, run)", name)
 	}
 }
 
@@ -468,9 +414,7 @@ func OracleByName(name string) (Oracle, error) {
 func DefaultOracles(killSwitch bool) []Oracle {
 	return []Oracle{
 		&ArchOracle{KillSwitch: killSwitch},
-		&TimingOracle{},
 		&CacheOracle{},
-		&CodecOracle{},
 		&ClusterOracle{},
 		&RunOracle{},
 	}

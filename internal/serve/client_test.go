@@ -21,11 +21,7 @@ import (
 func TestClientRetriesInjectedError(t *testing.T) {
 	l := lab.New()
 	l.Backend = scriptedBackend(nil, 0)
-	fault, err := ParseFault("error:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Lab: l, Fault: fault}
+	srv := &Server{Lab: l, Fault: &Fault{Mode: "error", Nth: 1}}
 	_, cl := newTestServer(t, srv)
 
 	res, err := cl.Run(context.Background(), cheapSpec())
@@ -50,11 +46,7 @@ func TestClientRetriesInjectedError(t *testing.T) {
 func TestClientRetriesDroppedConnection(t *testing.T) {
 	l := lab.New()
 	l.Backend = scriptedBackend(nil, 0)
-	fault, err := ParseFault("drop:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cl := newTestServer(t, &Server{Lab: l, Fault: fault})
+	_, cl := newTestServer(t, &Server{Lab: l, Fault: &Fault{Mode: "drop", Nth: 1}})
 
 	if _, err := cl.Run(context.Background(), cheapSpec()); err != nil {
 		t.Fatalf("client did not recover from the dropped connection: %v", err)
@@ -66,11 +58,7 @@ func TestClientRetriesDroppedConnection(t *testing.T) {
 func TestClientDelayFaultIsTransparent(t *testing.T) {
 	l := lab.New()
 	l.Backend = scriptedBackend(nil, 0)
-	fault, err := ParseFault("delay:1:50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cl := newTestServer(t, &Server{Lab: l, Fault: fault})
+	_, cl := newTestServer(t, &Server{Lab: l, Fault: &Fault{Mode: "delay", Nth: 1, Delay: 50 * time.Millisecond}})
 
 	t0 := time.Now()
 	if _, err := cl.Run(context.Background(), cheapSpec()); err != nil {
@@ -243,39 +231,12 @@ func TestClientBackoffSeededAndBounded(t *testing.T) {
 	}
 }
 
-// TestParseFault covers the flag grammar.
-func TestParseFault(t *testing.T) {
-	good := map[string]string{
-		"error:3":      "error:3",
-		"drop:1":       "drop:1",
-		"delay:2:50ms": "delay:2:50ms",
-	}
-	for in, want := range good {
-		f, err := ParseFault(in)
-		if err != nil {
-			t.Errorf("ParseFault(%q) = %v", in, err)
-			continue
-		}
-		if f.String() != want {
-			t.Errorf("ParseFault(%q).String() = %q, want %q", in, f.String(), want)
-		}
-	}
-	for _, in := range []string{"error", "error:0", "error:x", "delay:1", "delay:1:forever", "explode:1", "drop:1:2"} {
-		if _, err := ParseFault(in); err == nil {
-			t.Errorf("ParseFault(%q) accepted a bad spec", in)
-		}
-	}
-	if f, err := ParseFault(""); err != nil || f != nil {
-		t.Errorf("ParseFault(\"\") = %v, %v, want nil, nil", f, err)
-	}
+// TestFaultFiresExactlyOnce: the deterministic trigger hits the Nth
+// admission and only the Nth, and a nil fault never fires.
+func TestFaultFiresExactlyOnce(t *testing.T) {
 	if (*Fault)(nil).hit() {
 		t.Error("nil fault fired")
 	}
-}
-
-// TestFaultFiresExactlyOnce: the deterministic trigger hits the Nth
-// admission and only the Nth.
-func TestFaultFiresExactlyOnce(t *testing.T) {
 	f := &Fault{Mode: "error", Nth: 3}
 	var fired int
 	for i := 0; i < 10; i++ {

@@ -18,13 +18,9 @@ import (
 // retry-until-success with an exact backoff count, retries-exhausted,
 // and a context deadline aborting the loop mid-backoff.
 
-// flappingServer builds a server whose first requests fail per spec.
-func flappingServer(t *testing.T, faultSpec string) *Client {
+// flappingServer builds a server whose first requests fail per f.
+func flappingServer(t *testing.T, f *Fault) *Client {
 	t.Helper()
-	f, err := ParseFault(faultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l := lab.New()
 	l.Backend = scriptedBackend(nil, 0)
 	_, cl := newTestServer(t, &Server{Lab: l, Fault: f})
@@ -42,7 +38,7 @@ func backoffs(buf *bytes.Buffer) int {
 // then a healthy backend — the client must take exactly three backoff
 // waits and succeed on the fourth attempt.
 func TestClientFlappingErrorUntilSuccess(t *testing.T) {
-	cl := flappingServer(t, "error:1-3")
+	cl := flappingServer(t, &Fault{Mode: "error", Nth: 1, Last: 3})
 	var buf bytes.Buffer
 	cl.Log = &buf
 	cl.Retries = 4
@@ -69,7 +65,7 @@ func TestClientFlappingErrorUntilSuccess(t *testing.T) {
 // TestClientFlappingDropUntilSuccess: two aborted connections then a
 // healthy backend — transport-level flapping heals the same way.
 func TestClientFlappingDropUntilSuccess(t *testing.T) {
-	cl := flappingServer(t, "drop:1-2")
+	cl := flappingServer(t, &Fault{Mode: "drop", Nth: 1, Last: 2})
 	var buf bytes.Buffer
 	cl.Log = &buf
 
@@ -85,7 +81,7 @@ func TestClientFlappingDropUntilSuccess(t *testing.T) {
 // budget — the client must make Retries+1 attempts, back off Retries
 // times, and surface the final 500.
 func TestClientFlappingRetriesExhausted(t *testing.T) {
-	cl := flappingServer(t, "error:1-100")
+	cl := flappingServer(t, &Fault{Mode: "error", Nth: 1, Last: 100})
 	var buf bytes.Buffer
 	cl.Log = &buf
 	cl.Retries = 2
@@ -114,7 +110,7 @@ func TestClientFlappingRetriesExhausted(t *testing.T) {
 // the backoff schedule aborts the retry loop mid-wait and reports the
 // deadline, not the transient failure alone.
 func TestClientFlappingDeadlineAborts(t *testing.T) {
-	cl := flappingServer(t, "drop:1-100")
+	cl := flappingServer(t, &Fault{Mode: "drop", Nth: 1, Last: 100})
 	cl.Retries = 100
 	cl.Backoff = 200 * time.Millisecond
 	cl.MaxBackoff = 200 * time.Millisecond
@@ -127,28 +123,9 @@ func TestClientFlappingDeadlineAborts(t *testing.T) {
 	}
 }
 
-// TestParseFaultRange covers the range grammar and the firing window.
-func TestParseFaultRange(t *testing.T) {
-	for in, want := range map[string]string{
-		"error:2-5":      "error:2-5",
-		"drop:1-3":       "drop:1-3",
-		"delay:1-2:50ms": "delay:1-2:50ms",
-		"error:4-4":      "error:4", // degenerate range collapses
-	} {
-		f, err := ParseFault(in)
-		if err != nil {
-			t.Errorf("ParseFault(%q) = %v", in, err)
-			continue
-		}
-		if f.String() != want {
-			t.Errorf("ParseFault(%q).String() = %q, want %q", in, f.String(), want)
-		}
-	}
-	for _, in := range []string{"error:3-2", "error:0-2", "error:1-0", "error:1-x", "error:-2", "drop:1-2-3"} {
-		if _, err := ParseFault(in); err == nil {
-			t.Errorf("ParseFault(%q) accepted a bad range", in)
-		}
-	}
+// TestFaultRangeWindow: a ranged fault fires on every request of its
+// window and on no other.
+func TestFaultRangeWindow(t *testing.T) {
 	f := &Fault{Mode: "error", Nth: 2, Last: 4}
 	var fired []int
 	for i := 1; i <= 6; i++ {

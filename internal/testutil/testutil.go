@@ -41,8 +41,8 @@ func Seeds(t testing.TB, full, short int) int {
 // ReplayHint renders the one-step reproduction command for a failing
 // generated-program seed: every property-test failure message includes
 // it so the exact case can be re-run (and auto-shrunk) outside the
-// test binary. oracle names a harness oracle family (arch, timing,
-// cache, cluster); seed is the raw generator seed, i.e. the value
+// test binary. oracle names a harness oracle family (arch, cache,
+// cluster, run); seed is the raw generator seed, i.e. the value
 // passed to compiler.GenRandomSource, after any per-test seed
 // derivation.
 func ReplayHint(oracle string, seed uint64) string {

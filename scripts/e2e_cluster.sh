@@ -107,7 +107,7 @@ for i in 0 1 2; do
 done
 
 echo "== start coordinator on :$COORD_PORT =="
-"$WORK/wishsimd" -coordinator \
+"$WORK/wishsimd" \
   -worker "$(IFS=,; echo "${WORKER_URLS[*]}")" \
   -addr "127.0.0.1:${COORD_PORT}" -probe-interval "${PROBE_MS}ms" \
   -drain-timeout 60s -v >"$WORK/coordinator.log" 2>&1 &

@@ -14,9 +14,9 @@
 #      "0 fresh simulations, 0 shared".
 #
 # Part 2 — a coordinator restarts with nothing to replay:
-#   4. SIGKILL a `wishsimd -coordinator` (it has no store) while a
-#      serial `wishbench -server` campaign runs through it to two
-#      memory-only workers,
+#   4. SIGKILL a coordinator (`wishsimd -worker ...`, which has no
+#      store) while a serial `wishbench -server` campaign runs through
+#      it to two memory-only workers,
 #   5. restart it on the same worker list and assert the rerun output
 #      is byte-identical to the control run and that the workers'
 #      summed lab.fresh equals the control run's fresh count: the
@@ -186,7 +186,7 @@ for i in 0 1; do
 done
 
 start_coordinator() {
-  "$WORK/wishsimd" -coordinator \
+  "$WORK/wishsimd" \
     -worker "$(IFS=,; echo "${WORKER_URLS[*]}")" \
     -addr "127.0.0.1:${COORD_PORT}" -probe-interval 500ms \
     -drain-timeout 60s >>"$WORK/coordinator.log" 2>&1 &
